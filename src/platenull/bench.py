@@ -1,16 +1,16 @@
 """Benchmark harness: T-sweeps, rate tables, emission, property suite.
 
-A sweep runs one null-control experiment per terminal time in a T-list
-whose consecutive entries differ by a factor of 2 (either direction), then
-attaches log2-ratio rate columns.  Output formats are CSV, Markdown and
-JSON, plus a gnuplot-ready data file for the log-log blow-up figures.
+A sweep runs the null-control experiment for every terminal time in a
+T-list whose consecutive entries differ by a factor of 2 (either
+direction) as one lockstep march, then attaches log2-ratio rate columns.
+Output formats are CSV, Markdown and JSON, plus a gnuplot-ready data file
+for the log-log blow-up figures.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,7 +19,8 @@ from scipy.integrate import quad
 
 from . import fdm, fem
 from .control import f_weight
-from .core import PlateParams, StatePair, rate_sequence
+from .core import StatePair, energy, rate_sequence
+from .march import march
 from .spectral import exact_test_solution
 
 __all__ = [
@@ -231,47 +232,39 @@ class SweepTable:
     config: SweepConfig = field(compare=False)
 
 
-def _steps_for(T: float, dt: float) -> int:
-    m = max(2, round(T / dt))
-    if abs(m * dt - T) > 1e-9 * T:
-        raise ValueError(f"T = {T} is not an integer multiple (>= 2) of dt = {dt}")
-    return m
+def _discretize(config: SweepConfig):
+    """(scheme, v0, w0, twin) of the configured space, sampled once per sweep."""
+    v0, w0 = resolve_initial_data(config.init)
+    if config.scheme == "fdm":
+        grid = fdm.FdGrid(n=config.n, a=config.side)
+        x, y = grid.points()
+        scheme = fdm.fdm_scheme(grid, config.dt, config.rho, weighted=config.weighted)
+        v, w = fdm.sample_on_grid(v0, grid), fdm.sample_on_grid(w0, grid)
+    else:
+        mesh = fem.load_mesh(config.mesh_path) if config.mesh_path else \
+            fem.build_structured_mesh(config.n, config.side)
+        space = fem.FemSpace.from_mesh(mesh)
+        x, y = space.nodes().T
+        scheme = fem.fem_scheme(space, config.dt, config.rho)
+        v, w = fem.interpolate_nodal(v0, space), fem.interpolate_nodal(w0, space)
+    twin = config.twin
+    if twin == "exact":
+        twin = lambda t: exact_test_solution(x, y, t)  # noqa: E731
+    return scheme, v, w, twin
 
 
 def run_single(config: SweepConfig, T: float):
-    """One null-control run of the configured scheme at terminal time T."""
-    params = PlateParams(rho=config.rho, a=config.side, T=T,
-                         m=_steps_for(T, config.dt), n=config.n)
-    v0, w0 = resolve_initial_data(config.init)
-
-    if config.scheme == "fdm":
-        grid = fdm.FdGrid(n=config.n, a=config.side)
-        twin = config.twin
-        if twin == "exact":
-            x, y = grid.points()
-            twin = lambda t: exact_test_solution(x, y, t)  # noqa: E731
-        return fdm.run_fdm_null_control(params, v0, w0, twin=twin,
-                                        weighted=config.weighted)
-
-    mesh = fem.load_mesh(config.mesh_path) if config.mesh_path else \
-        fem.build_structured_mesh(config.n, config.side)
-    twin = config.twin
-    if twin == "exact":
-        pts = mesh.vertices[mesh.interior]
-        twin = lambda t: exact_test_solution(pts[:, 0], pts[:, 1], t)  # noqa: E731
-    return fem.run_fem_null_control(params, v0, w0, twin=twin, mesh=mesh)
+    """(report, control trajectory, terminal state) of one run at terminal time T."""
+    scheme, v, w, twin = _discretize(config)
+    return march(scheme, v, w, [T], twin=twin, keep_controls=True)[0]
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepTable:
-    """Run the whole T-list and attach rate columns (order-preserving)."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda T: _run_annotated(config, T), config.t_list))
-    else:
-        reports = [_run_annotated(config, T) for T in config.t_list]
-
-    energies = [r.terminal_energy for r in reports]
-    unorms = [r.control_norm for r in reports]
+def run_sweep(config: SweepConfig) -> SweepTable:
+    """Run the whole T-list as one march and attach rate columns."""
+    scheme, v, w, twin = _discretize(config)
+    runs = march(scheme, v, w, config.t_list, twin=twin)
+    energies = [report.terminal_energy for report, _, _ in runs]
+    unorms = [report.control_norm for report, _, _ in runs]
     erates = _rates_or_none(energies)
     urates = _rates_or_none(unorms)
     rows = tuple(
@@ -281,14 +274,6 @@ def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepTable:
                  unorm_rate=None if k == 0 else urates[k - 1])
         for k in range(len(config.t_list)))
     return SweepTable(rows=rows, config=config)
-
-
-def _run_annotated(config: SweepConfig, T: float):
-    try:
-        report, _, _ = run_single(config, T)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"solver failure at T = {T}: {exc}") from exc
-    return report
 
 
 def _rates_or_none(values: list[float]) -> list[float | None]:
@@ -431,26 +416,13 @@ def run_property_checks(rho: float = 2.5, side: float = math.pi) -> list[Propert
     record("f_T unit normalization", worst <= 1e-12, f"max |int f_T - 1| = {worst:.2e}")
 
     rng = np.random.default_rng(7)
-    n = 6
-    grid = fdm.FdGrid(n=n, a=side)
-    stepper = fdm.FdmStepper(fdm.build_dn(grid), dt=0.1, rho=rho)
-    space = fem.build_fem_space(n, side)
-    fstepper = fem.FemStepper(space, dt=0.1, rho=rho)
-    worst_fd, worst_fe = -np.inf, -np.inf
-    for _ in range(100):
-        s = StatePair(v=rng.standard_normal(grid.N), w=rng.standard_normal(grid.N))
-        before = float(s.v @ s.v + s.w @ s.w)
-        after_state = stepper.step(s)
-        after = float(after_state.v @ after_state.v + after_state.w @ after_state.w)
-        worst_fd = max(worst_fd, after - before)
-        before = space.mass_sq_norm(s.v) + space.mass_sq_norm(s.w)
-        after_state = fstepper.step(s)
-        after = space.mass_sq_norm(after_state.v) + space.mass_sq_norm(after_state.w)
-        worst_fe = max(worst_fe, after - before)
-    record("fdm step energy monotone (100 random states)", worst_fd <= 0,
-           f"max energy gain {worst_fd:.2e}")
-    record("fem step energy monotone (100 random states)", worst_fe <= 0,
-           f"max energy gain {worst_fe:.2e}")
+    states = StatePair(v=rng.standard_normal((36, 100)), w=rng.standard_normal((36, 100)))
+    for name, scheme in (("fdm", fdm.fdm_scheme(fdm.FdGrid(n=6, a=side), 0.1, rho)),
+                         ("fem", fem.fem_scheme(fem.build_fem_space(6, side), 0.1, rho))):
+        gain = float(np.max(energy(scheme.stepper.step(states), scheme.sq_norms)
+                            - energy(states, scheme.sq_norms)))
+        record(f"{name} step energy monotone (100 random states)", gain <= 0,
+               f"max energy gain {gain:.2e}")
 
     for scheme in ("fdm", "fem"):
         cfg = SweepConfig(scheme=scheme, n=8, rho=rho, side=side, dt=0.125,

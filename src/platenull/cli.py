@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the table here instead of stdout")
     p.add_argument("--loglog-out", default=None,
                    help="also write gnuplot-ready log-log data to this path")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent sweep rows")
     p.add_argument("--check", action="store_true",
                    help="run the property suite instead of a sweep")
     return p
@@ -83,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        table = bench.run_sweep(config, jobs=max(1, args.jobs))
+        table = bench.run_sweep(config)
     except np.linalg.LinAlgError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1

@@ -26,20 +26,23 @@ __all__ = [
 ]
 
 
-def _check_time(t: float, T: float) -> None:
-    if T <= 0:
+def _check_time(t, T) -> None:
+    if np.any(np.asarray(T) <= 0):
         raise ValueError(f"terminal time must be positive, got {T}")
-    if not 0 <= t <= T:
+    if not np.all((0 <= t) & (t <= T)):
         raise ValueError(f"t = {t} outside the steering window [0, {T}]")
 
 
-def f_weight(t: float, T: float) -> float:
-    """f_T(t) = 6 t (T - t) / T^3: nonnegative bump with unit integral on [0, T]."""
+def f_weight(t, T):
+    """f_T(t) = 6 t (T - t) / T^3: nonnegative bump with unit integral on [0, T].
+
+    Scalars or arrays; arrays are taken elementwise.
+    """
     _check_time(t, T)
     return 6.0 * t * (T - t) / T**3
 
 
-def f_weight_prime(t: float, T: float) -> float:
+def f_weight_prime(t, T):
     """Derivative f_T'(t) = 6 (T - 2t) / T^3; vanishes at t = T/2."""
     _check_time(t, T)
     return 6.0 * (T - 2.0 * t) / T**3

@@ -96,19 +96,16 @@ def make_time_grid(T: float, m: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class StatePair:
-    """Coefficient vectors (v, w) of the first-order system at one time level."""
+    """Coefficients (v, w) at one time level: (N,) vectors, or (N, k) blocks of k states."""
 
     v: np.ndarray
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.v.shape != self.w.shape or self.v.ndim != 1:
+        if self.v.shape != self.w.shape or self.v.ndim not in (1, 2):
             raise ValueError(
-                f"v and w must be equal-length vectors, got {self.v.shape} and {self.w.shape}")
-
-    @property
-    def size(self) -> int:
-        return len(self.v)
+                f"v and w must be equal-shape (N,) or (N, k) arrays, "
+                f"got {self.v.shape} and {self.w.shape}")
 
 
 @dataclass(frozen=True)
@@ -153,17 +150,17 @@ class KalmanDiagnostics:
         return self.rank == self.dim
 
 
-def euclidean_sq(x: np.ndarray) -> float:
-    """Squared Euclidean norm, the FDM state norm."""
-    return float(np.dot(x, x))
+def euclidean_sq(x: np.ndarray) -> float | np.ndarray:
+    """Squared Euclidean norm, the FDM state norm; per column of an (N, k) block."""
+    return np.einsum("i...,i...->...", x, x)
 
 
-def energy(state: StatePair, sq_norm: Callable[[np.ndarray], float] = euclidean_sq) -> float:
+def energy(state: StatePair, sq_norm: Callable = euclidean_sq) -> float | np.ndarray:
     """Unhalved energy ||v||^2 + ||w||^2 in the scheme-supplied squared norm.
 
-    The FDM scheme passes the Euclidean norm, the FEM scheme a
-    mass-matrix-weighted one.  A dimension mismatch inside ``sq_norm``
-    surfaces as its own error.
+    The FDM scheme passes the Euclidean norm, the FEM scheme a mass-matrix-
+    weighted one; for (N, k) blocks, the energy of every column.  A dimension
+    mismatch inside ``sq_norm`` surfaces as its own error.
     """
     return sq_norm(state.v) + sq_norm(state.w)
 

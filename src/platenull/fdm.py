@@ -12,7 +12,7 @@ One implicit time step of the coupled system solves
     w+ + dt*D (v+ + rho w+) = dt*u + w,
 
 by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD and is
-factored once per run.
+factored once per sweep, for the run loop in :mod:`platenull.march`.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import (ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport,
-                   StatePair, energy, make_time_grid)
+                   StatePair, euclidean_sq)
 from .linalg import SpdFactorization
+from .march import InitialDatum, Scheme, TwinSource, march
 
 __all__ = [
     "FdGrid",
@@ -36,19 +36,12 @@ __all__ = [
     "dn_eigenvalue",
     "sample_on_grid",
     "FdmStepper",
-    "fdm_homogeneous_step",
-    "fdm_controlled_step",
     "fdm_control_at_step",
+    "fdm_scheme",
     "run_fdm_null_control",
     "KalmanDiagnostics",
     "kalman_check_fdm",
 ]
-
-# Twin trajectory source: "discrete" steps the homogeneous system with the
-# same implicit factorization; a callable t -> (v_h, w_h) supplies grid
-# samples of a known homogeneous solution instead.
-TwinSource = str | Callable[[float], tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class FdGrid:
@@ -105,8 +98,7 @@ def dn_eigenvalue(i: int, j: int, grid: FdGrid) -> float:
     return (4.0 - 2.0 * (math.cos(i * k) + math.cos(j * k))) / grid.h**2
 
 
-def sample_on_grid(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   grid: FdGrid) -> np.ndarray:
+def sample_on_grid(f: InitialDatum, grid: FdGrid) -> np.ndarray:
     """Sample f(x, y) at the interior points in flat grid order."""
     x, y = grid.points()
     return np.asarray(f(x, y), dtype=float) + np.zeros(grid.N)
@@ -116,12 +108,16 @@ class FdmStepper:
     """One implicit-Euler step of the coupled system, factored once.
 
     The homogeneous and the controlled step share this factorization; the
-    controlled step with u = None is bitwise the homogeneous one.
+    controlled step with u = None is bitwise the homogeneous one.  States
+    and controls are (N,) vectors or (N, k) blocks of k columns.
     """
 
     def __init__(self, dn: sp.spmatrix, dt: float, rho: float):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
+        if dt >= 1.0 / rho:
+            warnings.warn(f"dt = {dt:g} >= 1/rho = {1.0 / rho:g}; the implicit step is "
+                          "used outside its guaranteed regime", RuntimeWarning, stacklevel=2)
         self.dn = dn.tocsr()
         self.dt = dt
         self.rho = rho
@@ -138,18 +134,6 @@ class FdmStepper:
         return StatePair(v=v_next, w=w_next)
 
 
-def fdm_homogeneous_step(state: StatePair, dt: float, rho: float,
-                         dn: sp.spmatrix) -> StatePair:
-    """Advance (v, w) one implicit step of the uncontrolled system."""
-    return FdmStepper(dn, dt, rho).step(state)
-
-
-def fdm_controlled_step(state: StatePair, u: np.ndarray, dt: float, rho: float,
-                        dn: sp.spmatrix) -> StatePair:
-    """Advance one implicit step with forcing dt*u in the w equation."""
-    return FdmStepper(dn, dt, rho).step(state, u)
-
-
 def fdm_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.ndarray,
                         t_next: float, dt: float, T: float, rho: float,
                         dn_solver: SpdFactorization) -> np.ndarray:
@@ -160,67 +144,28 @@ def fdm_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.n
     return mu0 + mu1_prime
 
 
-def _twin_levels(stepper: FdmStepper, v0: np.ndarray, w0: np.ndarray, m: int,
-                 dt: float, twin: TwinSource):
-    """Homogeneous trajectory at levels 0..m+1 (one past T, for the last G)."""
-    if callable(twin):
-        return [twin(j * dt) for j in range(m + 2)]
-    if twin != "discrete":
-        raise ValueError(f"twin must be 'discrete' or a callable, got {twin!r}")
-    levels = [(v0, w0)]
-    state = StatePair(v=v0, w=w0)
-    for _ in range(m + 1):
-        state = stepper.step(state)
-        levels.append((state.v, state.w))
-    return levels
-
-
-def run_fdm_null_control(params: PlateParams,
-                         v0: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                         w0: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                         *,
-                         twin: TwinSource = "discrete",
-                         weighted: bool = False,
-                         ) -> tuple[RunReport, ControlTrajectory, StatePair]:
-    """Steer the sampled initial data toward zero over [0, T].
-
-    Per step j: read the homogeneous twin at levels j+1 and j+2, assemble
-    u^{j+1}, then advance the controlled state one implicit step.  Reports
-    the terminal energy and the control norm (dt * sum ||u^{j+1}||^2)^(1/2);
-    ``weighted`` switches both from Euclidean to h-weighted discrete-L2
-    norms for cross-scheme comparison.
-    """
-    stiff = params.warn_if_stiff()
-    if stiff is not None:
-        warnings.warn(stiff, RuntimeWarning, stacklevel=2)
-    grid = FdGrid(n=params.n, a=params.a)
+def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -> Scheme:
+    """The march's view of the grid (K = D, B = I); norms h-weighted if ``weighted``."""
     dn = build_dn(grid)
-    tg = make_time_grid(params.T, params.m)
-    dt, T, rho = tg.dt, params.T, params.rho
+    weight = grid.h**2 if weighted else 1.0
+    return Scheme(stepper=FdmStepper(dn, dt, rho),
+                  mu_basis=SpdFactorization(dn.tocsc()).solve,
+                  sq_norms=lambda X: weight * euclidean_sq(X))
 
-    v = sample_on_grid(v0, grid)
-    w = sample_on_grid(w0, grid)
 
-    stepper = FdmStepper(dn, dt, rho)
-    dn_solver = SpdFactorization(dn.tocsc())
-    twin_levels = _twin_levels(stepper, v, w, params.m, dt, twin)
+def run_fdm_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum, *,
+                         twin: TwinSource = "discrete", weighted: bool = False,
+                         ) -> tuple[RunReport, ControlTrajectory, StatePair]:
+    """Steer the sampled initial data toward zero over [0, T]: one horizon of the march.
 
-    state = StatePair(v=v, w=w)
-    controls = np.empty((params.m, grid.N))
-    for j in range(params.m):
-        t_next = tg.nodes[j + 1]
-        vh1, wh1 = twin_levels[j + 1]
-        vh2, _ = twin_levels[j + 2]
-        u = fdm_control_at_step(vh2, vh1, wh1, t_next, dt, T, rho, dn_solver)
-        controls[j] = u
-        state = stepper.step(state, u)
-
-    state_w = grid.h**2 if weighted else 1.0
-    terminal = energy(state, lambda x: state_w * float(np.dot(x, x)))
-    control_norm = math.sqrt(dt * state_w * float(np.sum(controls * controls)))
-    report = RunReport(terminal_energy=terminal, control_norm=control_norm,
-                       T=T, dt=dt, N=grid.N)
-    return report, ControlTrajectory(controls=controls, grid=tg), state
+    Reports the terminal energy and the control norm
+    (dt * sum ||u^{j+1}||^2)^(1/2); ``weighted`` switches both from Euclidean
+    to h-weighted discrete-L2 norms for cross-scheme comparison.
+    """
+    grid = FdGrid(n=params.n, a=params.a)
+    scheme = fdm_scheme(grid, params.dt, params.rho, weighted=weighted)
+    return march(scheme, sample_on_grid(v0, grid), sample_on_grid(w0, grid), [params.T],
+                 twin=twin, keep_controls=True)[0]
 
 
 _DENSE_CAP = 24

@@ -11,8 +11,8 @@ One implicit step of the coupled variational system solves, in coefficients,
     M v+ - dt*S w+            = M v,
     dt*S v+ + (M + rho dt S) w+ = M w + dt*M u,
 
-with the 2N x 2N block matrix factored once per run (unique solvability is
-guaranteed for dt < 1/rho).
+with the 2N x 2N block matrix factored once per sweep, for the run loop in
+:mod:`platenull.march` (unique solvability is guaranteed for dt < 1/rho).
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import (ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport,
-                   StatePair, energy, make_time_grid)
+from .core import ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport, StatePair
 from .linalg import BlockSolver, SpdFactorization
+from .march import InitialDatum, Scheme, TwinSource, march
 
 __all__ = [
     "TriMesh",
@@ -42,15 +41,11 @@ __all__ = [
     "FemSpace",
     "interpolate_nodal",
     "FemStepper",
-    "fem_homogeneous_step",
-    "fem_controlled_step",
     "fem_control_at_step",
+    "fem_scheme",
     "run_fem_null_control",
     "kalman_check_fem",
 ]
-
-TwinSource = str | Callable[[float], tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -67,6 +62,9 @@ class TriMesh:
             raise ValueError("triangles must be an (nt, 3) array")
         if self.boundary.shape != (len(self.vertices),):
             raise ValueError("need one boundary flag per vertex")
+        if self.triangles.size and not (
+                0 <= self.triangles.min() and self.triangles.max() < len(self.vertices)):
+            raise ValueError(f"triangle vertex indices must lie in [0, {len(self.vertices)})")
         if np.any(self.signed_areas() <= 0):
             raise ValueError("all triangles must be positively oriented")
 
@@ -205,6 +203,8 @@ class FemSpace:
     @classmethod
     def from_mesh(cls, mesh: TriMesh) -> "FemSpace":
         interior = mesh.interior
+        if len(interior) == 0:
+            raise ValueError("mesh has no interior vertex, so its P1 space is empty")
         M = assemble_mass(mesh)[interior][:, interior]
         S = assemble_stiffness(mesh)[interior][:, interior]
         return cls(mesh=mesh, interior=interior, M=M, S=S)
@@ -217,24 +217,29 @@ class FemSpace:
         """Coordinates of the interior nodes, (N, 2)."""
         return self.mesh.vertices[self.interior]
 
-    def mass_sq_norm(self, x: np.ndarray) -> float:
-        """Squared L2 norm of the function with interior coefficients x."""
-        return float(x @ (self.M @ x))
+    def mass_sq_norm(self, x: np.ndarray) -> float | np.ndarray:
+        """Squared L2 norm of the function with interior coefficients x.
+
+        For an (N, k) block, the squared norm of every column.
+        """
+        return np.einsum("i...,i...->...", x, self.M @ x)
 
 
 def build_fem_space(n: int, a: float) -> FemSpace:
     return FemSpace.from_mesh(build_structured_mesh(n, a))
 
 
-def interpolate_nodal(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      space: FemSpace) -> np.ndarray:
+def interpolate_nodal(f: InitialDatum, space: FemSpace) -> np.ndarray:
     """Coefficients of the nodal interpolant: entry i = f at interior node i."""
     pts = space.nodes()
     return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float) + np.zeros(space.N)
 
 
 class FemStepper:
-    """One implicit step of the coupled variational system, factored once."""
+    """One implicit step of the coupled variational system, factored once.
+
+    States and controls are (N,) vectors or (N, k) blocks of k columns.
+    """
 
     def __init__(self, space: FemSpace, dt: float, rho: float):
         if dt <= 0:
@@ -258,18 +263,6 @@ class FemStepper:
         return StatePair(v=v_next, w=w_next)
 
 
-def fem_homogeneous_step(state: StatePair, dt: float, rho: float,
-                         space: FemSpace) -> StatePair:
-    """Advance (v, w) one implicit step of the uncontrolled variational system."""
-    return FemStepper(space, dt, rho).step(state)
-
-
-def fem_controlled_step(state: StatePair, u: np.ndarray, dt: float, rho: float,
-                        space: FemSpace) -> StatePair:
-    """Advance one implicit step with forcing dt*(u, phi) in the w equation."""
-    return FemStepper(space, dt, rho).step(state, u)
-
-
 def fem_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.ndarray,
                         t_next: float, dt: float, T: float, rho: float,
                         space: FemSpace,
@@ -283,61 +276,28 @@ def fem_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.n
     return mu0 + mu1_prime
 
 
-def _twin_levels(stepper: FemStepper, v0: np.ndarray, w0: np.ndarray, m: int,
-                 dt: float, twin: TwinSource):
-    if callable(twin):
-        return [twin(j * dt) for j in range(m + 2)]
-    if twin != "discrete":
-        raise ValueError(f"twin must be 'discrete' or a callable, got {twin!r}")
-    levels = [(v0, w0)]
-    state = StatePair(v=v0, w=w0)
-    for _ in range(m + 1):
-        state = stepper.step(state)
-        levels.append((state.v, state.w))
-    return levels
+def fem_scheme(space: FemSpace, dt: float, rho: float) -> Scheme:
+    """The march's view of the space (K = S, B = M), with mass-weighted norms."""
+    stepper = FemStepper(space, dt, rho)  # the block LU first, while little else is held
+    stiffness = SpdFactorization(space.S.tocsc())
+    return Scheme(stepper=stepper, mu_basis=lambda v: stiffness.solve(space.M @ v),
+                  sq_norms=space.mass_sq_norm)
 
 
-def run_fem_null_control(params: PlateParams,
-                         v0: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                         w0: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                         *,
-                         twin: TwinSource = "discrete",
-                         mesh: TriMesh | None = None,
+def run_fem_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum, *,
+                         twin: TwinSource = "discrete", mesh: TriMesh | None = None,
                          ) -> tuple[RunReport, ControlTrajectory, StatePair]:
     """Steer the interpolated initial data toward zero over [0, T].
 
-    Same loop as the finite-difference run; states and controls are measured
-    in the mass-weighted L2 norm.  A custom ``mesh`` (e.g. an imported
-    Delaunay triangulation) overrides the structured default.
+    Same march as the finite-difference run; states and controls are
+    measured in the mass-weighted L2 norm.  A custom ``mesh`` (e.g. an
+    imported Delaunay triangulation) overrides the structured default.
     """
     space = FemSpace.from_mesh(mesh if mesh is not None else
                                build_structured_mesh(params.n, params.a))
-    tg = make_time_grid(params.T, params.m)
-    dt, T, rho = tg.dt, params.T, params.rho
-
-    v = interpolate_nodal(v0, space)
-    w = interpolate_nodal(w0, space)
-
-    stepper = FemStepper(space, dt, rho)
-    stiffness_solver = SpdFactorization(space.S.tocsc())
-    twin_levels = _twin_levels(stepper, v, w, params.m, dt, twin)
-
-    state = StatePair(v=v, w=w)
-    controls = np.empty((params.m, space.N))
-    for j in range(params.m):
-        t_next = tg.nodes[j + 1]
-        vh1, wh1 = twin_levels[j + 1]
-        vh2, _ = twin_levels[j + 2]
-        u = fem_control_at_step(vh2, vh1, wh1, t_next, dt, T, rho, space,
-                                stiffness_solver)
-        controls[j] = u
-        state = stepper.step(state, u)
-
-    terminal = energy(state, space.mass_sq_norm)
-    control_norm = math.sqrt(dt * sum(space.mass_sq_norm(u) for u in controls))
-    report = RunReport(terminal_energy=terminal, control_norm=control_norm,
-                       T=T, dt=dt, N=space.N)
-    return report, ControlTrajectory(controls=controls, grid=tg), state
+    scheme = fem_scheme(space, params.dt, params.rho)
+    return march(scheme, interpolate_nodal(v0, space), interpolate_nodal(w0, space),
+                 [params.T], twin=twin, keep_controls=True)[0]
 
 
 _DENSE_CAP = 24

@@ -2,11 +2,12 @@
 
 Factorizations are computed once and reused across all time steps of a run;
 they are immutable after construction and safe to share between threads.
-Every solve is residual-checked, so a silently wrong factorization cannot
-leak into a table.  The check is the backward-error bound
-||Ax - b|| <= tol * (||A|| ||x|| + ||b||), which a stable factorization
-meets for any right-hand side; on well-scaled input it coincides with the
-plain relative residual ||Ax - b||/||b|| <= tol.
+Both solvers take one right-hand side (n,) or a block (n, k) per call.
+Every column of every solve is residual-checked, so a silently wrong
+factorization or a NaN cannot leak into a table.  The check is the
+backward-error bound ||Ax - b|| <= tol * (||A|| ||x|| + ||b||), which a
+stable factorization meets for any right-hand side; on well-scaled input it
+coincides with the plain relative residual ||Ax - b||/||b|| <= tol.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "SpdFactorization",
-    "solve_spd",
     "BlockSolver",
-    "solve_block_2x2",
 ]
 
 # Above this dimension a direct factorization is replaced by conjugate
@@ -33,6 +32,24 @@ _BLOCK_RESIDUAL_TOL = 1e-10
 def _check_square(A: sp.spmatrix, name: str = "matrix") -> None:
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+
+
+def _check_rhs(b: np.ndarray, n: int) -> None:
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)")
+
+
+def _check_backward_error(r: np.ndarray, x: np.ndarray, b: np.ndarray, norm: float,
+                          tol: float, what: str, hint: str = "") -> None:
+    """Raise unless every column has ||r|| <= tol (||A|| ||x|| + ||b||)."""
+    err = np.linalg.norm(r, axis=0)
+    scale = norm * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
+    bad = ~(err <= tol * scale)
+    if np.any(bad):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.max(np.atleast_1d(err / scale)[np.atleast_1d(bad)])
+        raise np.linalg.LinAlgError(
+            f"{what} backward error {worst:.3e} exceeds {tol:.0e}{hint}")
 
 
 def _check_symmetric(A: sp.spmatrix, tol: float = 1e-10) -> None:
@@ -63,27 +80,21 @@ class SpdFactorization:
                 raise np.linalg.LinAlgError(f"factorization failed: {exc}") from exc
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if b.shape != (self.n,):
-            raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.n},)")
+        _check_rhs(b, self.n)
         if self._direct:
             x = self._lu.solve(b)
-        else:
-            x, info = spla.cg(self.A, b, rtol=_SPD_RESIDUAL_TOL, atol=0.0)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"CG did not converge (info={info})")
-        scale = self._norm * np.linalg.norm(x) + np.linalg.norm(b)
-        if scale > 0:
-            res = np.linalg.norm(self.A @ x - b) / scale
-            if not res <= _SPD_RESIDUAL_TOL:
-                raise np.linalg.LinAlgError(
-                    f"solve backward error {res:.3e} exceeds {_SPD_RESIDUAL_TOL:.0e}; "
-                    "input is likely not SPD or is severely ill-conditioned")
+        else:  # CG takes one column at a time
+            cols = b.reshape(self.n, -1)
+            x = np.empty(cols.shape)
+            for c in range(cols.shape[1]):
+                x[:, c], info = spla.cg(self.A, cols[:, c], rtol=_SPD_RESIDUAL_TOL, atol=0.0)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"CG did not converge (info={info})")
+            x = x.reshape(b.shape)
+        _check_backward_error(self.A @ x - b, x, b, self._norm, _SPD_RESIDUAL_TOL,
+                              "solve", "; input is likely not SPD or is severely "
+                              "ill-conditioned")
         return x
-
-
-def solve_spd(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """One-shot SPD solve; factor once via :class:`SpdFactorization` to reuse."""
-    return SpdFactorization(A).solve(b)
 
 
 class BlockSolver:
@@ -112,24 +123,14 @@ class BlockSolver:
                 f"singular block system (Schur complement not invertible): {exc}") from exc
 
     def solve(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if b1.shape != (self.n,) or b2.shape != (self.n,):
+        if b1.shape != b2.shape:
             raise ValueError("right-hand sides do not match the block dimension")
-        x = self._lu.solve(np.concatenate([b1, b2]))
+        _check_rhs(b1, self.n)
+        b = np.concatenate([b1, b2])
+        x = self._lu.solve(b)
         x1, x2 = x[: self.n], x[self.n:]
         A11, A12, A21, A22 = self._blocks
-        r1 = A11 @ x1 + A12 @ x2 - b1
-        r2 = A21 @ x1 + A22 @ x2 - b2
-        b = np.concatenate([b1, b2])
-        scale = self._norm * np.linalg.norm(x) + np.linalg.norm(b)
-        if scale > 0:
-            res = np.sqrt(np.dot(r1, r1) + np.dot(r2, r2)) / scale
-            if not res <= _BLOCK_RESIDUAL_TOL:
-                raise np.linalg.LinAlgError(
-                    f"block solve backward error {res:.3e} exceeds "
-                    f"{_BLOCK_RESIDUAL_TOL:.0e}")
+        r = np.concatenate([A11 @ x1 + A12 @ x2 - b1, A21 @ x1 + A22 @ x2 - b2])
+        _check_backward_error(r, x, b, self._norm, _BLOCK_RESIDUAL_TOL, "block solve")
         return x1, x2
 
-
-def solve_block_2x2(A11, A12, A21, A22, b1: np.ndarray, b2: np.ndarray):
-    """One-shot coupled 2x2 block solve; use :class:`BlockSolver` for stepping."""
-    return BlockSolver(A11, A12, A21, A22).solve(b1, b2)

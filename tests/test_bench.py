@@ -6,8 +6,8 @@ import pytest
 
 from platenull.bench import (ExpressionError, SweepConfig, SweepRow, SweepTable,
                              emit_table, fit_loglog_slope, loglog_data,
-                             parse_expression, resolve_initial_data, run_sweep,
-                             table_from_json)
+                             parse_expression, resolve_initial_data, run_single,
+                             run_sweep, table_from_json)
 from platenull.cli import main
 
 
@@ -107,11 +107,16 @@ class TestRunSweep:
         b = emit_table(run_sweep(cfg), "csv")
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        cfg = self.small_config(t_list=(1.0, 2.0, 4.0))
-        serial = run_sweep(cfg, jobs=1)
-        parallel = run_sweep(cfg, jobs=3)
-        assert serial.rows == parallel.rows
+    @pytest.mark.parametrize("scheme,twin", [("fdm", "discrete"), ("fdm", "exact"),
+                                             ("fem", "discrete")])
+    def test_sweep_matches_single_runs(self, scheme, twin):
+        # the lockstep march over three horizons against one run per horizon
+        cfg = self.small_config(scheme=scheme, twin=twin, t_list=(4.0, 2.0, 1.0))
+        table = run_sweep(cfg)
+        for row in table.rows:
+            report, _, _ = run_single(cfg, row.T)
+            assert row.unorm == pytest.approx(report.control_norm, rel=1e-12)
+            assert row.energy == pytest.approx(report.terminal_energy, rel=1e-12)
 
     def test_fem_scheme_runs(self):
         table = run_sweep(self.small_config(scheme="fem"))
@@ -227,3 +232,22 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["n"] == 4
+
+    @pytest.mark.parametrize("scheme", ["fdm", "fem"])
+    def test_nonfinite_init_exit_code(self, scheme, capsys):
+        # 1/(x-x) samples to NaN at every node; no table may be printed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["--scheme", scheme, "--n", "4", "--dt", "0.25", "--t-list", "1",
+                         "--init", "0;1/(x-x)"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    def test_out_of_range_mesh_index_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("4 2\n0 0 1\n1 0 1\n1 1 0\n0 1 1\n0 1 2\n0 2 7\n")
+        code = main(["--scheme", "fem", "--mesh", str(path), "--dt", "0.25",
+                     "--t-list", "1"])
+        assert code == 2
+        assert "[0, 4)" in capsys.readouterr().err

@@ -55,6 +55,13 @@ class TestEnergy:
         with pytest.raises(ValueError):
             StatePair(v=np.zeros(3), w=np.zeros(4))
 
+    def test_column_blocks(self):
+        StatePair(v=np.zeros((5, 3)), w=np.ones((5, 3)))
+        with pytest.raises(ValueError):
+            StatePair(v=np.zeros((5, 3)), w=np.zeros((5, 2)))
+        with pytest.raises(ValueError):
+            StatePair(v=np.zeros((5, 3, 1)), w=np.zeros((5, 3, 1)))
+
     def test_custom_norm(self):
         s = StatePair(v=np.array([1.0, 1.0]), w=np.array([2.0, 0.0]))
         assert energy(s, lambda x: 3.0 * euclidean_sq(x)) == pytest.approx(18.0)

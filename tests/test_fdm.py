@@ -6,10 +6,9 @@ import scipy.sparse as sp
 
 from platenull.core import PlateParams, StatePair
 from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
-                           fdm_control_at_step, fdm_controlled_step,
-                           fdm_homogeneous_step, kalman_check_fdm,
+                           fdm_control_at_step, kalman_check_fdm,
                            run_fdm_null_control, sample_on_grid)
-from platenull.linalg import SpdFactorization, solve_block_2x2
+from platenull.linalg import BlockSolver, SpdFactorization
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -141,7 +140,7 @@ class TestSteps:
 
     def test_zero_fixed_point(self):
         z = np.zeros(self.grid.N)
-        out = fdm_homogeneous_step(StatePair(v=z, w=z), self.dt, RHO, self.dn)
+        out = FdmStepper(self.dn, self.dt, RHO).step(StatePair(v=z, w=z))
         np.testing.assert_array_equal(out.v, z)
         np.testing.assert_array_equal(out.w, z)
 
@@ -149,7 +148,7 @@ class TestSteps:
         rng = np.random.default_rng(21)
         s = StatePair(v=rng.standard_normal(self.grid.N),
                       w=rng.standard_normal(self.grid.N))
-        out = fdm_homogeneous_step(s, self.dt, RHO, self.dn)
+        out = FdmStepper(self.dn, self.dt, RHO).step(s)
         r1 = out.v - self.dt * (self.dn @ out.w) - s.v
         r2 = out.w + self.dt * (self.dn @ (out.v + RHO * out.w)) - s.w
         scale = np.linalg.norm(np.concatenate([s.v, s.w]))
@@ -160,7 +159,7 @@ class TestSteps:
         g = FdGrid(n=8, a=np.pi)
         dn = build_dn(g)
         phi = sample_on_grid(lambda x, y: np.sin(2 * x) * np.sin(2 * y), g)
-        out = fdm_homogeneous_step(StatePair(v=np.zeros(g.N), w=phi), 0.05, RHO, dn)
+        out = FdmStepper(dn, 0.05, RHO).step(StatePair(v=np.zeros(g.N), w=phi))
         for comp in (out.v, out.w):
             coef = (comp @ phi) / (phi @ phi)
             np.testing.assert_allclose(comp, coef * phi, atol=1e-12)
@@ -189,12 +188,11 @@ class TestSteps:
         N = self.grid.N
         u = np.zeros(N)
         u[0] = 1.0
-        out = fdm_controlled_step(StatePair(v=np.zeros(N), w=np.zeros(N)),
-                                  u, self.dt, RHO, self.dn)
+        out = FdmStepper(self.dn, self.dt, RHO).step(
+            StatePair(v=np.zeros(N), w=np.zeros(N)), u)
         eye = sp.identity(N, format="csr")
-        x1, x2 = solve_block_2x2(eye, -self.dt * self.dn, self.dt * self.dn,
-                                 eye + RHO * self.dt * self.dn,
-                                 np.zeros(N), self.dt * u)
+        x1, x2 = BlockSolver(eye, -self.dt * self.dn, self.dt * self.dn,
+                             eye + RHO * self.dt * self.dn).solve(np.zeros(N), self.dt * u)
         np.testing.assert_allclose(out.v, x1, atol=1e-12)
         np.testing.assert_allclose(out.w, x2, atol=1e-12)
 

@@ -9,7 +9,6 @@ from platenull.fdm import FdGrid, build_dn
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble_mass,
                            assemble_stiffness, build_fem_space,
                            build_structured_mesh, fem_control_at_step,
-                           fem_controlled_step, fem_homogeneous_step,
                            interpolate_nodal, kalman_check_fem, load_mesh,
                            mesh_family_report, run_fem_null_control)
 from platenull.linalg import SpdFactorization
@@ -47,6 +46,22 @@ class TestStructuredMesh:
         tris = np.array([[0, 2, 1]])  # clockwise
         with pytest.raises(ValueError, match="orient"):
             TriMesh(vertices=verts, triangles=tris, boundary=np.ones(3, dtype=bool))
+
+    def test_rejects_out_of_range_vertex_index(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        tris = np.array([[0, 1, 2], [0, 2, 7]])
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            TriMesh(vertices=verts, triangles=tris, boundary=np.ones(4, dtype=bool))
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            TriMesh(vertices=verts, triangles=np.array([[0, 1, 2], [0, 2, -1]]),
+                    boundary=np.ones(4, dtype=bool))
+
+    def test_space_needs_an_interior_vertex(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        mesh = TriMesh(vertices=verts, triangles=np.array([[0, 1, 2]]),
+                       boundary=np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="interior"):
+            FemSpace.from_mesh(mesh)
 
 
 class TestAssembly:
@@ -150,7 +165,7 @@ class TestSteps:
 
     def test_zero_fixed_point(self):
         z = np.zeros(self.space.N)
-        out = fem_homogeneous_step(StatePair(v=z, w=z), self.dt, RHO, self.space)
+        out = FemStepper(self.space, self.dt, RHO).step(StatePair(v=z, w=z))
         np.testing.assert_array_equal(out.v, z)
 
     def test_variational_equations_residual(self):
@@ -158,7 +173,7 @@ class TestSteps:
         M, S = self.space.M, self.space.S
         s = StatePair(v=rng.standard_normal(self.space.N),
                       w=rng.standard_normal(self.space.N))
-        out = fem_homogeneous_step(s, self.dt, RHO, self.space)
+        out = FemStepper(self.space, self.dt, RHO).step(s)
         r1 = M @ out.v - self.dt * (S @ out.w) - M @ s.v
         r2 = M @ out.w + self.dt * (S @ (out.v + RHO * out.w)) - M @ s.w
         scale = np.linalg.norm(np.concatenate([M @ s.v, M @ s.w]))
@@ -196,7 +211,7 @@ class TestSteps:
         # from rest, one step under u >= 0 pushes w upward
         u = interpolate_nodal(lambda x, y: np.sin(x) * np.sin(y), self.space)
         z = np.zeros(self.space.N)
-        out = fem_controlled_step(StatePair(v=z, w=z), u, self.dt, RHO, self.space)
+        out = FemStepper(self.space, self.dt, RHO).step(StatePair(v=z, w=z), u)
         assert (u @ (self.space.M @ out.w)) > 0
 
 

@@ -4,7 +4,15 @@ import scipy.sparse as sp
 
 from platenull.fdm import FdGrid, build_dn
 from platenull.fem import assemble_mass, assemble_stiffness, build_structured_mesh
-from platenull.linalg import BlockSolver, SpdFactorization, solve_block_2x2, solve_spd
+from platenull.linalg import BlockSolver, SpdFactorization
+
+
+def solve_spd(A, b):
+    return SpdFactorization(A).solve(b)
+
+
+def solve_block_2x2(A11, A12, A21, A22, b1, b2):
+    return BlockSolver(A11, A12, A21, A22).solve(b1, b2)
 
 
 def residual(A, x, b):
@@ -114,3 +122,65 @@ class TestBlockSolve:
         # A22 - A21 A11^{-1} A12 = I - I = 0
         with pytest.raises(np.linalg.LinAlgError):
             solve_block_2x2(eye, eye, eye, eye, np.ones(2), np.ones(2))
+
+
+class TestMultiColumnSolve:
+    """A block of k right-hand sides is solved in one call, checked per column."""
+
+    def rhs(self, n, k=4):
+        return np.random.default_rng(5).standard_normal((n, k))
+
+    @pytest.mark.parametrize("direct_limit", [10_000, 0])
+    def test_spd_block_equals_columnwise(self, direct_limit):
+        A = build_dn(FdGrid(n=6, a=np.pi))
+        fac = SpdFactorization(A, direct_limit=direct_limit)
+        B = self.rhs(A.shape[0])
+        X = fac.solve(B)
+        for c in range(B.shape[1]):
+            col = fac.solve(B[:, c])
+            assert np.linalg.norm(X[:, c] - col) <= 1e-14 * np.linalg.norm(col)
+
+    def test_block_solver_block_equals_columnwise(self):
+        dt, rho = 0.2, 2.5
+        D = build_dn(FdGrid(n=6, a=np.pi))
+        eye = sp.identity(D.shape[0], format="csr")
+        solver = BlockSolver(eye, -dt * D, dt * D, eye + rho * dt * D)
+        B1, B2 = self.rhs(D.shape[0]), self.rhs(D.shape[0]) ** 2
+        X1, X2 = solver.solve(B1, B2)
+        for c in range(B1.shape[1]):
+            x1, x2 = solver.solve(B1[:, c], B2[:, c])
+            scale = np.linalg.norm(np.concatenate([x1, x2]))
+            assert np.linalg.norm(X1[:, c] - x1) <= 1e-14 * scale
+            assert np.linalg.norm(X2[:, c] - x2) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("direct_limit", [10_000, 0])
+    def test_nan_column_fails_spd_check(self, direct_limit):
+        fac = SpdFactorization(build_dn(FdGrid(n=4, a=np.pi)), direct_limit=direct_limit)
+        B = self.rhs(16)
+        B[3, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            fac.solve(B)
+        with pytest.raises(np.linalg.LinAlgError):
+            fac.solve(B[:, 2])
+
+    def test_inf_column_fails_block_check(self):
+        eye = sp.identity(4, format="csr")
+        solver = BlockSolver(2 * eye, eye, eye, 2 * eye)
+        B1, B2 = self.rhs(4, k=3), self.rhs(4, k=3)
+        B2[0, 1] = np.inf
+        with pytest.raises(np.linalg.LinAlgError, match="backward error"):
+            solver.solve(B1, B2)
+
+    def test_zero_block_passes(self):
+        fac = SpdFactorization(sp.identity(3, format="csc"))
+        np.testing.assert_array_equal(fac.solve(np.zeros((3, 2))), np.zeros((3, 2)))
+
+    def test_rejects_bad_block_shapes(self):
+        fac = SpdFactorization(sp.identity(3, format="csc"))
+        with pytest.raises(ValueError):
+            fac.solve(np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            fac.solve(np.ones((3, 2, 1)))
+        eye = sp.identity(3, format="csr")
+        with pytest.raises(ValueError):
+            BlockSolver(eye, eye, -eye, eye).solve(np.ones((3, 2)), np.ones((3, 3)))
