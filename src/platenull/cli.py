@@ -77,26 +77,20 @@ def main(argv: list[str] | None = None) -> int:
             scheme=args.scheme, n=args.n, rho=args.rho, side=args.side,
             dt=args.dt, t_list=t_list, init=args.init, twin=args.twin,
             weighted=args.weighted, mesh_path=args.mesh)
-    except (ValueError, bench.ExpressionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         table = bench.run_sweep(config)
-    except np.linalg.LinAlgError as exc:
+        rendered = bench.emit_table(table, args.format)
+        if args.out:
+            Path(args.out).write_text(rendered)
+        else:
+            sys.stdout.write(rendered)
+        if args.loglog_out:
+            Path(args.loglog_out).write_text(bench.loglog_data(table))
+    except np.linalg.LinAlgError as exc:  # before ValueError, its base class
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    rendered = bench.emit_table(table, args.format)
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
-    if args.loglog_out:
-        Path(args.loglog_out).write_text(bench.loglog_data(table))
     return 0
 
 

@@ -6,6 +6,7 @@ construction and may be shared freely across concurrent runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,6 +19,7 @@ __all__ = [
     "ControlTrajectory",
     "RunReport",
     "KalmanDiagnostics",
+    "KALMAN_DENSE_CAP",
     "make_time_grid",
     "energy",
     "euclidean_sq",
@@ -57,13 +59,6 @@ class PlateParams:
     @property
     def dt(self) -> float:
         return self.T / self.m
-
-    def warn_if_stiff(self) -> str | None:
-        """The FEM scheme is only guaranteed solvable for dt < 1/rho."""
-        if self.dt >= 1.0 / self.rho:
-            return (f"dt = {self.dt:g} >= 1/rho = {1.0 / self.rho:g}; "
-                    "the implicit step is used outside its guaranteed regime")
-        return None
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,14 @@ class RunReport:
     N: int
 
     def __post_init__(self) -> None:
-        if self.terminal_energy < 0 or self.control_norm < 0:
-            raise ValueError("norms must be nonnegative")
+        for name in ("terminal_energy", "control_norm"):
+            x = getattr(self, name)
+            if not (x >= 0) or not math.isfinite(x):
+                raise ValueError(f"{name} must be finite and nonnegative, got {x}")
+
+
+# Grid points per axis up to which the Kalman checks build dense 2N x 2N matrices.
+KALMAN_DENSE_CAP = 24
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import (ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport,
-                   StatePair, euclidean_sq)
+from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
+                   RunReport, StatePair, euclidean_sq)
 from .linalg import SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march
 
@@ -34,6 +34,7 @@ __all__ = [
     "FdGrid",
     "build_dn",
     "dn_eigenvalue",
+    "dn_eigenvalues",
     "sample_on_grid",
     "FdmStepper",
     "fdm_control_at_step",
@@ -98,10 +99,23 @@ def dn_eigenvalue(i: int, j: int, grid: FdGrid) -> float:
     return (4.0 - 2.0 * (math.cos(i * k) + math.cos(j * k))) / grid.h**2
 
 
+def dn_eigenvalues(grid: FdGrid) -> np.ndarray:
+    """Every eigenvalue of the 5-point matrix: entry [j-1, i-1] is dn_eigenvalue(i, j).
+
+    Reshaped to (N,), the entries follow the flat grid order.
+    """
+    c = np.cos(np.arange(1, grid.n + 1) * (math.pi / (grid.n + 1)))
+    return (4.0 - 2.0 * (c[:, None] + c[None, :])) / grid.h**2
+
+
 def sample_on_grid(f: InitialDatum, grid: FdGrid) -> np.ndarray:
-    """Sample f(x, y) at the interior points in flat grid order."""
+    """Sample f(x, y) at the interior points in flat grid order.
+
+    Numpy warnings are off: a non-finite sample is reported by the march.
+    """
     x, y = grid.points()
-    return np.asarray(f(x, y), dtype=float) + np.zeros(grid.N)
+    with np.errstate(all="ignore"):
+        return np.asarray(f(x, y), dtype=float) + np.zeros(grid.N)
 
 
 class FdmStepper:
@@ -168,9 +182,6 @@ def run_fdm_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum
                  twin=twin, keep_controls=True)[0]
 
 
-_DENSE_CAP = 24
-
-
 def kalman_check_fdm(grid: FdGrid, rho: float) -> KalmanDiagnostics:
     """Verify the rank condition for [B, A B] with the closed-form inverse.
 
@@ -179,8 +190,8 @@ def kalman_check_fdm(grid: FdGrid, rho: float) -> KalmanDiagnostics:
     ||D^{-1}||_2 equals 1/lambda_{1,1} and stays bounded by ~a^2/(2 pi^2)
     as the grid is refined.
     """
-    if grid.n > _DENSE_CAP:
-        raise ValueError(f"dense Kalman check capped at n <= {_DENSE_CAP}")
+    if grid.n > KALMAN_DENSE_CAP:
+        raise ValueError(f"dense Kalman check capped at n <= {KALMAN_DENSE_CAP}")
     N = grid.N
     D = build_dn(grid).toarray()
     Z = np.zeros((N, N))

@@ -13,6 +13,9 @@ One implicit step of the coupled variational system solves, in coefficients,
 
 with the 2N x 2N block matrix factored once per sweep, for the run loop in
 :mod:`platenull.march` (unique solvability is guaranteed for dt < 1/rho).
+On the structured mesh S is h^2 times the 5-point matrix, so the stiffness
+solves of the control go through the sine transform instead of a
+factorization.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport, StatePair
-from .linalg import BlockSolver, SpdFactorization
+from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
+                   RunReport, StatePair)
+from .fdm import FdGrid, build_dn, dn_eigenvalues
+from .linalg import BlockSolver, SineSolver, SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march
 
 __all__ = [
@@ -42,6 +47,7 @@ __all__ = [
     "interpolate_nodal",
     "FemStepper",
     "fem_control_at_step",
+    "make_stiffness_solver",
     "fem_scheme",
     "run_fem_null_control",
     "kalman_check_fem",
@@ -230,9 +236,13 @@ def build_fem_space(n: int, a: float) -> FemSpace:
 
 
 def interpolate_nodal(f: InitialDatum, space: FemSpace) -> np.ndarray:
-    """Coefficients of the nodal interpolant: entry i = f at interior node i."""
+    """Coefficients of the nodal interpolant: entry i = f at interior node i.
+
+    Numpy warnings are off: a non-finite value is reported by the march.
+    """
     pts = space.nodes()
-    return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float) + np.zeros(space.N)
+    with np.errstate(all="ignore"):
+        return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float) + np.zeros(space.N)
 
 
 class FemStepper:
@@ -276,10 +286,28 @@ def fem_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.n
     return mu0 + mu1_prime
 
 
+def make_stiffness_solver(space: FemSpace) -> SineSolver | SpdFactorization:
+    """Solver for S: sine transforms on the structured mesh, else a factorization.
+
+    The mesh counts as structured when the interior nodes are the points of
+    an FdGrid(n, a) in flat order and S equals h^2 times its 5-point matrix,
+    both to 1e-12 relative.
+    """
+    n = math.isqrt(space.N)
+    a = float(space.mesh.vertices.max())
+    if n * n == space.N and a > 0:
+        grid = FdGrid(n=n, a=a)
+        on_grid = np.max(np.abs(space.nodes() - np.column_stack(grid.points()))) <= 1e-12 * a
+        if on_grid and (abs(space.S - grid.h**2 * build_dn(grid)).max()
+                        <= 1e-12 * abs(space.S).max()):
+            return SineSolver(space.S, grid.h**2 * dn_eigenvalues(grid))
+    return SpdFactorization(space.S.tocsc())
+
+
 def fem_scheme(space: FemSpace, dt: float, rho: float) -> Scheme:
     """The march's view of the space (K = S, B = M), with mass-weighted norms."""
     stepper = FemStepper(space, dt, rho)  # the block LU first, while little else is held
-    stiffness = SpdFactorization(space.S.tocsc())
+    stiffness = make_stiffness_solver(space)
     return Scheme(stepper=stepper, mu_basis=lambda v: stiffness.solve(space.M @ v),
                   sq_norms=space.mass_sq_norm)
 
@@ -300,9 +328,6 @@ def run_fem_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum
                  [params.T], twin=twin, keep_controls=True)[0]
 
 
-_DENSE_CAP = 24
-
-
 def kalman_check_fem(space: FemSpace, rho: float) -> KalmanDiagnostics:
     """Verify the rank condition for [B, A B] with the closed-form inverse.
 
@@ -310,8 +335,8 @@ def kalman_check_fem(space: FemSpace, rho: float) -> KalmanDiagnostics:
     [S^{-1}M, 0]]; the product is checked densely on small spaces.
     """
     N = space.N
-    if N > _DENSE_CAP**2:
-        raise ValueError(f"dense Kalman check capped at N <= {_DENSE_CAP**2}")
+    if N > KALMAN_DENSE_CAP**2:
+        raise ValueError(f"dense Kalman check capped at N <= {KALMAN_DENSE_CAP**2}")
     Minv_S = np.linalg.solve(space.M.toarray(), space.S.toarray())
     Z = np.zeros((N, N))
     eye = np.eye(N)

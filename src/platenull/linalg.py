@@ -2,7 +2,7 @@
 
 Factorizations are computed once and reused across all time steps of a run;
 they are immutable after construction and safe to share between threads.
-Both solvers take one right-hand side (n,) or a block (n, k) per call.
+Every solver takes one right-hand side (n,) or a block (n, k) per call.
 Every column of every solve is residual-checked, so a silently wrong
 factorization or a NaN cannot leak into a table.  The check is the
 backward-error bound ||Ax - b|| <= tol * (||A|| ||x|| + ||b||), which a
@@ -13,17 +13,15 @@ coincides with the plain relative residual ||Ax - b||/||b|| <= tol.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
     "SpdFactorization",
+    "SineSolver",
     "BlockSolver",
 ]
-
-# Above this dimension a direct factorization is replaced by conjugate
-# gradients; table-sized problems (N <= ~4e3) always take the direct path.
-_DIRECT_LIMIT = 10_000
 
 _SPD_RESIDUAL_TOL = 1e-12
 _BLOCK_RESIDUAL_TOL = 1e-10
@@ -60,19 +58,21 @@ def _check_symmetric(A: sp.spmatrix, tol: float = 1e-10) -> None:
 
 
 class SpdFactorization:
-    """Direct factorization of a sparse SPD matrix, with a CG fallback.
+    """Direct factorization of a sparse SPD matrix.
 
-    Construction certifies symmetry and (via factorization success or CG
+    Construction certifies symmetry and (via factorization success, or CG
     convergence on first use) positive definiteness on the range exercised.
+    CG, one column at a time, runs only above a ``direct_limit`` the caller
+    passes.
     """
 
-    def __init__(self, A: sp.spmatrix, *, direct_limit: int = _DIRECT_LIMIT):
+    def __init__(self, A: sp.spmatrix, *, direct_limit: int | None = None):
         _check_square(A, "SPD matrix")
         _check_symmetric(A)
         self.A = A.tocsc()
         self.n = A.shape[0]
         self._norm = spla.norm(self.A, 1)
-        self._direct = self.n <= direct_limit
+        self._direct = direct_limit is None or self.n <= direct_limit
         if self._direct:
             try:
                 self._lu = spla.splu(self.A)
@@ -94,6 +94,41 @@ class SpdFactorization:
         _check_backward_error(self.A @ x - b, x, b, self._norm, _SPD_RESIDUAL_TOL,
                               "solve", "; input is likely not SPD or is severely "
                               "ill-conditioned")
+        return x
+
+
+class SineSolver:
+    """Solver for a matrix that the 2D sine transform diagonalizes.
+
+    ``A`` acts on n x n grid values in flat order (x index fastest) and
+    equals Q diag(eigenvalues) Q with Q the orthonormal DST-I, which is its
+    own inverse; entry [q-1, p-1] of the (n, n) ``eigenvalues`` belongs to
+    the mode sin(p pi x/a) sin(q pi y/a).  A solve is a transform, a
+    division and a transform.  ``A`` itself is kept for the backward-error
+    check, so a wrong eigenvalue or a matrix the transform does not
+    diagonalize fails like a bad factorization.
+    """
+
+    def __init__(self, A: sp.spmatrix, eigenvalues: np.ndarray):
+        _check_square(A, "sine-diagonal matrix")
+        n = eigenvalues.shape[0]
+        if eigenvalues.shape != (n, n) or n * n != A.shape[0]:
+            raise ValueError(f"eigenvalues of shape {eigenvalues.shape} do not "
+                             f"match a grid of {A.shape[0]} unknowns")
+        self.A = A
+        self.n = A.shape[0]
+        self._norm = spla.norm(A, 1)
+        self._eigenvalues = eigenvalues
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        _check_rhs(b, self.n)
+        grid = b.reshape(self._eigenvalues.shape + (-1,))
+        coef = scipy.fft.dstn(grid, type=1, norm="ortho", axes=(0, 1))
+        coef /= self._eigenvalues[:, :, None]
+        x = scipy.fft.dstn(coef, type=1, norm="ortho", axes=(0, 1)).reshape(b.shape)
+        _check_backward_error(self.A @ x - b, x, b, self._norm, _SPD_RESIDUAL_TOL,
+                              "sine solve", "; the matrix is likely not diagonal in "
+                              "the sine basis with these eigenvalues")
         return x
 
 

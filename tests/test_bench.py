@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import platenull
 from platenull.bench import (ExpressionError, SweepConfig, SweepRow, SweepTable,
                              emit_table, fit_loglog_slope, loglog_data,
                              parse_expression, resolve_initial_data, run_single,
@@ -243,6 +248,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "finite" in captured.err
         assert captured.out == ""
+
+    def test_nonfinite_init_prints_only_the_error_line(self):
+        # a fresh interpreter, so numpy warnings reach stderr unfiltered
+        env = {**os.environ, "PYTHONPATH": str(Path(platenull.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "platenull.cli", "--n", "4", "--dt", "0.25",
+             "--t-list", "1", "--init", "0;1/(x-x)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), done.stderr
+
+    @pytest.mark.parametrize("flag", ["--out", "--loglog-out", "--mesh"])
+    def test_unusable_path_exit_code(self, flag, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir" / "file.txt"
+        args = ["--n", "4", "--dt", "0.25", "--t-list", "1", flag, str(missing)]
+        code = main(args + (["--scheme", "fem"] if flag == "--mesh" else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "no_such_dir" in err
 
     def test_out_of_range_mesh_index_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

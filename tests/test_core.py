@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from platenull.core import (PlateParams, StatePair, energy, euclidean_sq,
+from platenull.core import (PlateParams, RunReport, StatePair, energy, euclidean_sq,
                             make_time_grid, rate_sequence)
 
 
@@ -100,11 +100,6 @@ class TestPlateParams:
     def test_dt(self):
         p = PlateParams(rho=2.5, a=np.pi, T=2.0, m=10, n=4)
         assert p.dt == pytest.approx(0.2)
-        assert p.warn_if_stiff() is None
-
-    def test_stiff_warning(self):
-        p = PlateParams(rho=2.5, a=np.pi, T=2.0, m=4, n=4)
-        assert "1/rho" in p.warn_if_stiff()
 
     @pytest.mark.parametrize("kw", [
         {"rho": 2.0}, {"rho": 0.0}, {"rho": -1.0},
@@ -114,3 +109,16 @@ class TestPlateParams:
         base = {"rho": 2.5, "a": np.pi, "T": 2.0, "m": 10, "n": 4}
         with pytest.raises(ValueError):
             PlateParams(**{**base, **kw})
+
+
+class TestRunReport:
+    def test_accepts_zero(self):
+        RunReport(terminal_energy=0.0, control_norm=0.0, T=2.0, dt=0.2, N=16)
+
+    @pytest.mark.parametrize("energy_value,norm", [
+        (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
+        (-1e-300, 1.0), (1.0, -np.inf), (np.nan, np.inf),
+    ])
+    def test_rejects_negative_or_non_finite(self, energy_value, norm):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            RunReport(terminal_energy=energy_value, control_norm=norm, T=2.0, dt=0.2, N=16)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from platenull.core import PlateParams, StatePair
 from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
-                           fdm_control_at_step, kalman_check_fdm,
+                           fdm_control_at_step, fdm_scheme, kalman_check_fdm,
                            run_fdm_null_control, sample_on_grid)
 from platenull.linalg import BlockSolver, SpdFactorization
 from platenull.spectral import exact_test_solution
@@ -321,6 +321,19 @@ class TestNullControlRun:
             params, lambda x, y: 0.0 * x, lambda x, y: 2.0 * w0(x, y))
         np.testing.assert_allclose(traj2.controls, 2.0 * traj1.controls,
                                    atol=1e-10 * np.abs(traj1.controls).max())
+
+
+    def test_large_grid_factors_directly(self, monkeypatch):
+        # n = 101 (N = 10,201) used to fall over to CG
+        def no_cg(*args, **kwargs):
+            raise AssertionError("scipy.sparse.linalg.cg was called")
+        monkeypatch.setattr("scipy.sparse.linalg.cg", no_cg)
+        grid = FdGrid(n=101, a=np.pi)
+        scheme = fdm_scheme(grid, 0.25, RHO)
+        w0 = sample_on_grid(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), grid)
+        state = scheme.stepper.step(StatePair(v=np.zeros(grid.N), w=w0))
+        z = scheme.mu_basis(state.v)
+        assert np.all(np.isfinite(z)) and np.linalg.norm(z) > 0
 
 
 class TestHomogeneousConvergence:

@@ -8,10 +8,12 @@ from platenull.core import PlateParams, StatePair
 from platenull.fdm import FdGrid, build_dn
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble_mass,
                            assemble_stiffness, build_fem_space,
-                           build_structured_mesh, fem_control_at_step,
+                           build_structured_mesh, fem_control_at_step, fem_scheme,
                            interpolate_nodal, kalman_check_fem, load_mesh,
-                           mesh_family_report, run_fem_null_control)
-from platenull.linalg import SpdFactorization
+                           make_stiffness_solver, mesh_family_report,
+                           run_fem_null_control)
+from platenull.linalg import SineSolver, SpdFactorization
+from platenull.march import Scheme, march
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -335,15 +337,67 @@ class TestKalman:
         assert diag.rank == diag.dim == 2 * n * n
 
 
+def write_mesh(mesh, path):
+    lines = [f"{len(mesh.vertices)} {len(mesh.triangles)}"]
+    lines += [f"{x} {y} {int(b)}" for (x, y), b in zip(mesh.vertices, mesh.boundary)]
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    path.write_text("# structured test mesh\n" + "\n".join(lines) + "\n")
+
+
+class TestStiffnessSolver:
+    """S is solved by sine transforms exactly when the mesh is the structured one."""
+
+    def test_structured_mesh_round_trip_uses_sine_solver(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        write_mesh(build_structured_mesh(9, np.pi), path)
+        space = FemSpace.from_mesh(load_mesh(path))
+        assert isinstance(make_stiffness_solver(space), SineSolver)
+
+    def test_perturbed_vertex_falls_back_to_factorization(self):
+        mesh = build_structured_mesh(9, np.pi)
+        vertices = mesh.vertices.copy()
+        vertices[mesh.interior[40]] += (1e-3, -2e-3)
+        space = FemSpace.from_mesh(TriMesh(vertices, mesh.triangles, mesh.boundary))
+        solver = make_stiffness_solver(space)
+        assert isinstance(solver, SpdFactorization)
+        b = np.random.default_rng(6).standard_normal(space.N)
+        assert np.linalg.norm(space.S @ solver.solve(b) - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_non_square_node_count_falls_back(self):
+        # a 3 x 2 grid of interior nodes: six is not a square
+        k = 5
+        coords_x, coords_y = np.linspace(0, 4.0, k), np.linspace(0, 3.0, k - 1)
+        X, Y = np.meshgrid(coords_x, coords_y)
+        vertices = np.column_stack([X.ravel(), Y.ravel()])
+        v00 = (np.arange(k - 2)[:, None] * k + np.arange(k - 1)[None, :]).ravel()
+        triangles = np.vstack([np.column_stack([v00, v00 + 1, v00 + k + 1]),
+                               np.column_stack([v00, v00 + k + 1, v00 + k])])
+        boundary = ((X == 0) | (X == 4.0) | (Y == 0) | (Y == 3.0)).ravel()
+        space = FemSpace.from_mesh(TriMesh(vertices, triangles, boundary))
+        assert space.N == 6
+        assert isinstance(make_stiffness_solver(space), SpdFactorization)
+
+    def test_sweep_matches_factored_stiffness(self):
+        space = build_fem_space(57, np.pi)
+        v0 = np.zeros(space.N)
+        w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), space)
+        sine = fem_scheme(space, 0.2, RHO)
+        factored = SpdFactorization(space.S.tocsc())
+        sparse = Scheme(stepper=sine.stepper,
+                        mu_basis=lambda v: factored.solve(space.M @ v),
+                        sq_norms=space.mass_sq_norm)
+        got = march(sine, v0, w0, [2.0, 4.0])
+        want = march(sparse, v0, w0, [2.0, 4.0])
+        for (r, _, _), (ref, _, _) in zip(got, want):
+            assert r.control_norm == pytest.approx(ref.control_norm, rel=1e-12)
+            assert r.terminal_energy == pytest.approx(ref.terminal_energy, rel=1e-12)
+
+
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
         mesh = build_structured_mesh(3, 2.0)
-        lines = [f"{len(mesh.vertices)} {len(mesh.triangles)}"]
-        lines += [f"{x} {y} {int(b)}"
-                  for (x, y), b in zip(mesh.vertices, mesh.boundary)]
-        lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
         path = tmp_path / "mesh.txt"
-        path.write_text("# structured test mesh\n" + "\n".join(lines) + "\n")
+        write_mesh(mesh, path)
         loaded = load_mesh(path)
         np.testing.assert_allclose(loaded.vertices, mesh.vertices)
         np.testing.assert_array_equal(loaded.triangles, mesh.triangles)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from platenull.fdm import FdGrid, build_dn
-from platenull.fem import assemble_mass, assemble_stiffness, build_structured_mesh
-from platenull.linalg import BlockSolver, SpdFactorization
+from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
+from platenull.fem import (assemble_mass, assemble_stiffness, build_fem_space,
+                           build_structured_mesh)
+from platenull.linalg import BlockSolver, SineSolver, SpdFactorization
 
 
 def solve_spd(A, b):
@@ -184,3 +185,59 @@ class TestMultiColumnSolve:
         eye = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
             BlockSolver(eye, eye, -eye, eye).solve(np.ones((3, 2)), np.ones((3, 3)))
+
+
+class TestSineSolver:
+    """The structured-mesh stiffness S = h^2 D, solved by DST-I."""
+
+    @staticmethod
+    def solver(n):
+        grid = FdGrid(n=n, a=np.pi)
+        S = build_fem_space(n, np.pi).S
+        return S, SineSolver(S, grid.h**2 * dn_eigenvalues(grid))
+
+    @pytest.mark.parametrize("n", [57, 150])
+    def test_matches_factorization(self, n):
+        S, sine = self.solver(n)
+        B = np.random.default_rng(n).standard_normal((n * n, 4))
+        X = sine.solve(B)
+        ref = SpdFactorization(S.tocsc()).solve(B)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+        col = sine.solve(B[:, 1])
+        assert np.linalg.norm(col - ref[:, 1]) <= 1e-12 * np.linalg.norm(ref[:, 1])
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (3, 7), (57, 1)])
+    def test_sampled_mode_is_an_eigenvector(self, p, q):
+        grid = FdGrid(n=57, a=np.pi)
+        _, sine = self.solver(57)
+        x, y = grid.points()
+        phi = np.sin(p * x) * np.sin(q * y)
+        want = phi / (grid.h**2 * dn_eigenvalue(p, q, grid))
+        got = sine.solve(phi)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_eigenvalue_array_matches_formula(self):
+        grid = FdGrid(n=5, a=2.0)
+        lam = dn_eigenvalues(grid)
+        for i in range(1, 6):
+            for j in range(1, 6):
+                assert lam[j - 1, i - 1] == pytest.approx(dn_eigenvalue(i, j, grid), rel=1e-14)
+
+    def test_nan_column_raises(self):
+        _, sine = self.solver(8)
+        B = np.random.default_rng(3).standard_normal((64, 3))
+        B[5, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="backward error"):
+            sine.solve(B)
+
+    def test_wrong_eigenvalue_raises(self):
+        grid = FdGrid(n=8, a=np.pi)
+        lam = dn_eigenvalues(grid)
+        lam[2, 4] *= 1.001
+        sine = SineSolver(build_dn(grid), lam)
+        with pytest.raises(np.linalg.LinAlgError, match="backward error"):
+            sine.solve(np.random.default_rng(4).standard_normal(64))
+
+    def test_rejects_mismatched_eigenvalues(self):
+        with pytest.raises(ValueError):
+            SineSolver(build_dn(FdGrid(n=4, a=1.0)), np.ones((3, 3)))
