@@ -200,14 +200,16 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.scheme not in ("fdm", "fem"):
             raise ValueError(f"scheme must be 'fdm' or 'fem', got {self.scheme!r}")
-        if not self.t_list or any(T <= 0 for T in self.t_list):
-            raise ValueError("T-list entries must be positive")
+        for name in ("rho", "side", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.t_list or not all(math.isfinite(T) and T > 0 for T in self.t_list):
+            raise ValueError(f"T-list entries must be finite and positive, got {self.t_list}")
         ratios = [self.t_list[k + 1] / self.t_list[k] for k in range(len(self.t_list) - 1)]
         if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios) or (
                 ratios and abs(abs(math.log2(ratios[0])) - 1.0) > 1e-9):
             raise ValueError("T-list must double or halve between consecutive entries")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.twin not in ("discrete", "exact"):
             raise ValueError(f"twin must be 'discrete' or 'exact', got {self.twin!r}")
         if self.twin == "exact":

@@ -7,6 +7,7 @@ construction and may be shared freely across concurrent runs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "KalmanDiagnostics",
     "KALMAN_DENSE_CAP",
     "make_time_grid",
+    "warn_coarse_step",
     "energy",
     "euclidean_sq",
     "rate_sequence",
@@ -149,6 +151,20 @@ class KalmanDiagnostics:
     @property
     def full_rank(self) -> bool:
         return self.rank == self.dim
+
+
+def warn_coarse_step(dt: float, rho: float) -> None:
+    """Warn, for the caller's caller, when dt >= 1/rho.
+
+    The implicit step of either scheme is uniquely solvable and does not
+    raise the energy for every dt > 0, so this flags accuracy only: a step
+    as long as the damping time scale 1/rho.
+    """
+    if dt * rho >= 1.0:
+        warnings.warn(f"dt = {dt:g} >= 1/rho = {1.0 / rho:g}: the step is as long as the "
+                      "damping time scale, so expect a large time-discretization error "
+                      "(the implicit step is still uniquely solvable)", RuntimeWarning,
+                      stacklevel=3)
 
 
 def euclidean_sq(x: np.ndarray) -> float | np.ndarray:

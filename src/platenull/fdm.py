@@ -18,7 +18,6 @@ factored once per sweep, for the run loop in :mod:`platenull.march`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
-                   RunReport, StatePair, euclidean_sq)
+                   RunReport, StatePair, euclidean_sq, warn_coarse_step)
 from .linalg import SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march
 
@@ -129,9 +128,7 @@ class FdmStepper:
     def __init__(self, dn: sp.spmatrix, dt: float, rho: float):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if dt >= 1.0 / rho:
-            warnings.warn(f"dt = {dt:g} >= 1/rho = {1.0 / rho:g}; the implicit step is "
-                          "used outside its guaranteed regime", RuntimeWarning, stacklevel=2)
+        warn_coarse_step(dt, rho)
         self.dn = dn.tocsr()
         self.dt = dt
         self.rho = rho

@@ -11,8 +11,9 @@ One implicit step of the coupled variational system solves, in coefficients,
     M v+ - dt*S w+            = M v,
     dt*S v+ + (M + rho dt S) w+ = M w + dt*M u,
 
-with the 2N x 2N block matrix factored once per sweep, for the run loop in
-:mod:`platenull.march` (unique solvability is guaranteed for dt < 1/rho).
+through the two factors M + s_i dt S of its Schur complement (s1 s2 = 1,
+s1 + s2 = rho), each factored once per sweep, for the run loop in
+:mod:`platenull.march`; the step is uniquely solvable for every dt > 0.
 On the structured mesh S is h^2 times the 5-point matrix, so the stiffness
 solves of the control go through the sine transform instead of a
 factorization.
@@ -21,7 +22,6 @@ factorization.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,9 +30,9 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
-                   RunReport, StatePair)
+                   RunReport, StatePair, warn_coarse_step)
 from .fdm import FdGrid, build_dn, dn_eigenvalues
-from .linalg import BlockSolver, SineSolver, SpdFactorization
+from .linalg import SineSolver, SpdFactorization, SplitStepSolver
 from .march import InitialDatum, Scheme, TwinSource, march
 
 __all__ = [
@@ -252,24 +252,16 @@ class FemStepper:
     """
 
     def __init__(self, space: FemSpace, dt: float, rho: float):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if dt >= 1.0 / rho:
-            warnings.warn(
-                f"dt = {dt:g} >= 1/rho = {1.0 / rho:g}; unique solvability of the "
-                "implicit step is only guaranteed below that", RuntimeWarning,
-                stacklevel=2)
+        self._solver = SplitStepSolver(space.M, space.S, dt, rho)  # checks dt and rho
+        warn_coarse_step(dt, rho)
         self.space = space
         self.dt = dt
         self.rho = rho
-        M, S = space.M, space.S
-        self._solver = BlockSolver(M, -dt * S, dt * S, M + rho * dt * S)
 
     def step(self, state: StatePair, u: np.ndarray | None = None) -> StatePair:
         M = self.space.M
-        b1 = M @ state.v
         b2 = M @ state.w if u is None else M @ (state.w + self.dt * u)
-        v_next, w_next = self._solver.solve(b1, b2)
+        v_next, w_next = self._solver.solve(state.v, b2)
         return StatePair(v=v_next, w=w_next)
 
 
@@ -306,7 +298,7 @@ def make_stiffness_solver(space: FemSpace) -> SineSolver | SpdFactorization:
 
 def fem_scheme(space: FemSpace, dt: float, rho: float) -> Scheme:
     """The march's view of the space (K = S, B = M), with mass-weighted norms."""
-    stepper = FemStepper(space, dt, rho)  # the block LU first, while little else is held
+    stepper = FemStepper(space, dt, rho)  # the step factors first, while little else is held
     stiffness = make_stiffness_solver(space)
     return Scheme(stepper=stepper, mu_basis=lambda v: stiffness.solve(space.M @ v),
                   sq_norms=space.mass_sq_norm)

@@ -12,6 +12,8 @@ coincides with the plain relative residual ||Ax - b||/||b|| <= tol.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
@@ -21,6 +23,7 @@ __all__ = [
     "SpdFactorization",
     "SineSolver",
     "BlockSolver",
+    "SplitStepSolver",
 ]
 
 _SPD_RESIDUAL_TOL = 1e-12
@@ -37,11 +40,16 @@ def _check_rhs(b: np.ndarray, n: int) -> None:
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},) or ({n}, k)")
 
 
+def _column_norms(x: np.ndarray) -> float | np.ndarray:
+    """Euclidean norm of a vector, or of every column of a block."""
+    return np.sqrt(np.einsum("i...,i...->...", x, x))
+
+
 def _check_backward_error(r: np.ndarray, x: np.ndarray, b: np.ndarray, norm: float,
                           tol: float, what: str, hint: str = "") -> None:
     """Raise unless every column has ||r|| <= tol (||A|| ||x|| + ||b||)."""
-    err = np.linalg.norm(r, axis=0)
-    scale = norm * np.linalg.norm(x, axis=0) + np.linalg.norm(b, axis=0)
+    err = _column_norms(r)
+    scale = norm * _column_norms(x) + _column_norms(b)
     bad = ~(err <= tol * scale)
     if np.any(bad):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -169,3 +177,63 @@ class BlockSolver:
         _check_backward_error(r, x, b, self._norm, _BLOCK_RESIDUAL_TOL, "block solve")
         return x1, x2
 
+
+class SplitStepSolver:
+    """The FEM step K [v+; w+] = [M v; b2] through two half-size factors.
+
+    K = [[M, -dt S], [dt S, M + rho dt S]] has the Schur complement
+    M + rho dt S + dt^2 S M^{-1} S = A1 M^{-1} A2 with A_i = M + s_i dt S,
+    where s1, s2 are the roots of s^2 - rho s + 1 (s1 + s2 = rho,
+    s1 s2 = 1).  Since dt M^{-1} S A2^{-1} M = (I - A2^{-1} M) / s2, a step
+    needs no M solve:
+
+        y = A1^{-1} (b2 - dt S v),   w+ = A2^{-1} M y,   v+ = v + (y - w+) / s2.
+
+    For rho < 2 the roots are a complex-conjugate pair with positive real
+    part, the factors are complex and the result is the real part; rho = 2
+    gives the double root 1.  Each A_i is nonsingular for every dt > 0 (its
+    real part is SPD).  Every column's backward error is checked against the
+    full block system K, as in :class:`BlockSolver`.
+    """
+
+    def __init__(self, M: sp.spmatrix, S: sp.spmatrix, dt: float, rho: float):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
+        if not (math.isfinite(rho) and rho > 0):
+            raise ValueError(f"rho must be finite and positive, got {rho}")
+        _check_square(M, "mass matrix")
+        if S.shape != M.shape:
+            raise ValueError(f"M and S must have one shape, got {M.shape} and {S.shape}")
+        self.n = M.shape[0]
+        self.dt = dt
+        self.M = sp.csr_matrix(M)
+        self.S = sp.csr_matrix(S, copy=True)
+        self.S.eliminate_zeros()  # a P1 stiffness matrix can hold exact zeros
+        # K's 1-norm from its column sums: [|M| + dt |S|, dt |S| + |M + rho dt S|]
+        dS = dt * abs(self.S).sum(axis=0)
+        self._norm = float(max(np.max(abs(self.M).sum(axis=0) + dS),
+                               np.max(dS + abs(self.M + rho * dt * self.S).sum(axis=0))))
+        self._rho_dt = rho * dt
+        s1, self._s2 = np.roots([1.0, -rho, 1.0])
+        try:
+            self._lu1, self._lu2 = [
+                spla.splu((self.M + s * dt * self.S).tocsc(), permc_spec="MMD_AT_PLUS_A")
+                for s in (s1, self._s2)]
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(f"factorization failed: {exc}") from exc
+
+    def solve(self, v: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if v.shape != b2.shape:
+            raise ValueError("right-hand sides do not match the block dimension")
+        _check_rhs(v, self.n)
+        M, S, dt = self.M, self.S, self.dt
+        y = self._lu1.solve(b2 - dt * (S @ v))
+        w_next = self._lu2.solve(M @ y)
+        v_next = np.real(v + (y - w_next) / self._s2)
+        w_next = np.real(w_next)
+        Mv, Sw = M @ v, S @ w_next
+        r = np.concatenate([M @ v_next - dt * Sw - Mv,
+                            dt * (S @ v_next) + M @ w_next + self._rho_dt * Sw - b2])
+        _check_backward_error(r, np.concatenate([v_next, w_next]), np.concatenate([Mv, b2]),
+                              self._norm, _BLOCK_RESIDUAL_TOL, "split step")
+        return v_next, w_next

@@ -219,6 +219,21 @@ class TestCli:
     def test_bad_init_exit_code(self, capsys):
         assert main(["--init", "x+"]) == 2
 
+    @pytest.mark.parametrize("flag,value,name", [
+        ("--rho", "0", "rho"), ("--rho", "-1", "rho"), ("--rho", "nan", "rho"),
+        ("--rho", "inf", "rho"), ("--dt", "nan", "dt"), ("--dt", "inf", "dt"),
+        ("--dt", "-0.25", "dt"), ("--side", "nan", "side"), ("--side", "0", "side"),
+        ("--t-list", "nan,2", "T-list"), ("--t-list", "1,inf", "T-list"),
+    ])
+    def test_nonpositive_or_nonfinite_parameter_exit_code(self, flag, value, name, capsys):
+        args = {"--n": "4", "--dt": "0.25", "--t-list": "1,2", flag: value}
+        code = main([tok for pair in args.items() for tok in pair])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {name}")
+        assert "finite and positive" in captured.err
+        assert captured.out == ""
+
     def test_small_run_to_file(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         loglog = tmp_path / "loglog.dat"
@@ -237,6 +252,20 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["n"] == 4
+
+    @pytest.mark.parametrize("rho", ["1.5", "2"])
+    def test_fem_sweep_matches_block_march(self, rho, use_block_step, capsys):
+        # rho < 2 steps through complex factors, rho = 2 through the double root 1
+        args = ["--scheme", "fem", "--n", "12", "--rho", rho, "--dt", "0.2",
+                "--t-list", "2,4", "--format", "json"]
+        assert main(args) == 0
+        got = json.loads(capsys.readouterr().out)["rows"]
+        use_block_step()
+        assert main(args) == 0
+        want = json.loads(capsys.readouterr().out)["rows"]
+        for r, ref in zip(got, want, strict=True):
+            assert r["unorm"] == pytest.approx(ref["unorm"], rel=1e-12)
+            assert r["energy"] == pytest.approx(ref["energy"], rel=1e-10)
 
     @pytest.mark.parametrize("scheme", ["fdm", "fem"])
     def test_nonfinite_init_exit_code(self, scheme, capsys):

@@ -393,6 +393,21 @@ class TestStiffnessSolver:
             assert r.terminal_energy == pytest.approx(ref.terminal_energy, rel=1e-12)
 
 
+class TestSplitStep:
+    """The march stepped by two half-size factors against the 2N block LU."""
+
+    def test_sweep_matches_block_march(self, use_block_step):
+        space = build_fem_space(57, np.pi)
+        v0 = np.zeros(space.N)
+        w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), space)
+        got = march(fem_scheme(space, 0.2, RHO), v0, w0, [2.0, 4.0])
+        use_block_step()
+        want = march(fem_scheme(space, 0.2, RHO), v0, w0, [2.0, 4.0])
+        for (r, _, _), (ref, _, _) in zip(got, want):
+            assert r.control_norm == pytest.approx(ref.control_norm, rel=1e-12)
+            assert r.terminal_energy == pytest.approx(ref.terminal_energy, rel=1e-10)
+
+
 class TestMeshIO:
     def test_round_trip(self, tmp_path):
         mesh = build_structured_mesh(3, 2.0)

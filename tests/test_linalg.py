@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
-from platenull.fem import (assemble_mass, assemble_stiffness, build_fem_space,
-                           build_structured_mesh)
-from platenull.linalg import BlockSolver, SineSolver, SpdFactorization
+from platenull.fem import (FemSpace, TriMesh, assemble_mass, assemble_stiffness,
+                           build_fem_space, build_structured_mesh)
+from platenull.linalg import BlockSolver, SineSolver, SpdFactorization, SplitStepSolver
 
 
 def solve_spd(A, b):
@@ -241,3 +241,80 @@ class TestSineSolver:
     def test_rejects_mismatched_eigenvalues(self):
         with pytest.raises(ValueError):
             SineSolver(build_dn(FdGrid(n=4, a=1.0)), np.ones((3, 3)))
+
+
+class TestSplitStepSolver:
+    """The FEM step by two half-size factors against the 2N block LU."""
+
+    @staticmethod
+    def space(jitter):
+        """FEM space of a 10 x 10 mesh, interior vertices moved at random by up to jitter h."""
+        mesh = build_structured_mesh(10, np.pi)
+        rng = np.random.default_rng(17)
+        vertices = mesh.vertices.copy()
+        inner = mesh.interior
+        vertices[inner] += jitter * np.pi / 11 * rng.uniform(-1, 1, (len(inner), 2))
+        return FemSpace.from_mesh(TriMesh(vertices, mesh.triangles, mesh.boundary))
+
+    @staticmethod
+    def rhs(N, k=5):
+        rng = np.random.default_rng(N + k)
+        return rng.standard_normal((N, k)), rng.standard_normal((N, k))
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 2.5, 10.0])
+    @pytest.mark.parametrize("dt", [0.2, 1 / 1536])
+    def test_matches_block_solver(self, jitter, rho, dt):
+        space = self.space(jitter)
+        M, S = space.M, space.S
+        v, b2 = self.rhs(space.N)
+        want = BlockSolver(M, -dt * S, dt * S, M + rho * dt * S).solve(M @ v, b2)
+        got = SplitStepSolver(M, S, dt, rho).solve(v, b2)
+        scale = np.linalg.norm(np.concatenate(want))
+        for g, w in zip(got, want):
+            assert g.dtype == np.float64 and g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-12 * scale
+
+    def test_single_column_equals_block_column(self):
+        space = self.space(0.3)
+        solver = SplitStepSolver(space.M, space.S, 0.2, 1.5)
+        v, b2 = self.rhs(space.N)
+        V, W = solver.solve(v, b2)
+        x, y = solver.solve(v[:, 2], b2[:, 2])
+        assert x.shape == (space.N,)
+        scale = np.linalg.norm(np.concatenate([x, y]))
+        assert np.linalg.norm(V[:, 2] - x) <= 1e-14 * scale
+        assert np.linalg.norm(W[:, 2] - y) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("rho", [1.5, 2.5])
+    def test_nan_column_raises(self, rho):
+        space = self.space(0.0)
+        solver = SplitStepSolver(space.M, space.S, 0.2, rho)
+        v, b2 = self.rhs(space.N)
+        b2[7, 3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="backward error"):
+            solver.solve(v, b2)
+        with pytest.raises(np.linalg.LinAlgError, match="backward error"):
+            solver.solve(v[:, 3], b2[:, 3])
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_rho(self, rho):
+        space = self.space(0.0)
+        with pytest.raises(ValueError, match="rho"):
+            SplitStepSolver(space.M, space.S, 0.2, rho)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.2, np.nan, np.inf])
+    def test_rejects_bad_dt(self, dt):
+        space = self.space(0.0)
+        with pytest.raises(ValueError, match="dt"):
+            SplitStepSolver(space.M, space.S, dt, 2.5)
+
+    def test_rejects_bad_shapes(self):
+        space = self.space(0.0)
+        with pytest.raises(ValueError):
+            SplitStepSolver(space.M, space.S[:-1, :-1], 0.2, 2.5)
+        solver = SplitStepSolver(space.M, space.S, 0.2, 2.5)
+        with pytest.raises(ValueError):
+            solver.solve(np.ones((space.N, 2)), np.ones((space.N, 3)))
+        with pytest.raises(ValueError):
+            solver.solve(np.ones(space.N + 1), np.ones(space.N + 1))

@@ -1,0 +1,84 @@
+"""The control the march emits, against a dense evaluation of mu0 + mu1'.
+
+The reference steps the homogeneous twin with dense numpy solves of the
+scheme's step matrix (or samples the closed-form twin) and evaluates
+
+    u^{j+1} = -(rho v_h + w_h) f_T - K^{-1} B [(v_h^{j+2} - v_h^{j+1})/dt f_T + v_h^{j+1} f_T']
+
+at t_{j+1}, with (K, B) = (D, I) for FDM and (S, M) for FEM.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from platenull import fdm, fem
+from platenull.bench import SweepConfig, resolve_initial_data, run_single
+from platenull.control import f_weight, f_weight_prime
+from platenull.spectral import exact_test_solution
+
+RHO = 2.5
+DT = 0.125
+T = 1.0
+STEPS = 8
+DATA = "sin(x)*sin(2*y);x*(pi-x)*y*(pi-y)"
+
+
+def dense_space(scheme, n):
+    """(K, B, node coordinates) as dense arrays; the step matrix is
+    [[B, -dt K], [dt K, B + rho dt K]] acting on B-weighted right-hand sides."""
+    if scheme == "fdm":
+        grid = fdm.FdGrid(n=n, a=math.pi)
+        return fdm.build_dn(grid).toarray(), np.eye(grid.N), np.column_stack(grid.points())
+    space = fem.build_fem_space(n, math.pi)
+    return space.S.toarray(), space.M.toarray(), space.nodes()
+
+
+def dense_twin(config, K, B, nodes):
+    """Homogeneous levels (v_h^j, w_h^j), j = 0..STEPS+1."""
+    x, y = nodes.T
+    if config.twin == "exact":
+        return [exact_test_solution(x, y, j * DT) for j in range(STEPS + 2)]
+    N = len(B)
+    step = np.block([[B, -DT * K], [DT * K, B + RHO * DT * K]])
+    levels = [tuple(np.asarray(f(x, y), dtype=float) + np.zeros(N)
+                    for f in resolve_initial_data(config.init))]
+    for _ in range(STEPS + 1):
+        v, w = levels[-1]
+        x_next = np.linalg.solve(step, np.concatenate([B @ v, B @ w]))
+        levels.append((x_next[:N], x_next[N:]))
+    return levels
+
+
+def reference_controls(config, with_f_prime=True):
+    """Controls u^1..u^STEPS of the horizon T, shape (STEPS, N)."""
+    K, B, nodes = dense_space(config.scheme, config.n)
+    twin = dense_twin(config, K, B, nodes)
+    controls = []
+    for j in range(STEPS):
+        t = (j + 1) * DT
+        (vh, wh), (vh_ahead, _) = twin[j + 1], twin[j + 2]
+        G = (vh_ahead - vh) / DT * f_weight(t, T)
+        if with_f_prime:
+            G = G + vh * f_weight_prime(t, T)
+        controls.append(-(RHO * vh + wh) * f_weight(t, T) - np.linalg.solve(K, B @ G))
+    return np.array(controls)
+
+
+CASES = [(scheme, twin, n) for scheme in ("fdm", "fem")
+         for twin in ("discrete", "exact") for n in (4, 6, 8)]
+
+
+@pytest.mark.parametrize("scheme,twin,n", CASES)
+def test_emitted_control_matches_dense_recipe(scheme, twin, n):
+    config = SweepConfig(scheme=scheme, n=n, rho=RHO, side=math.pi, dt=DT, t_list=(T,),
+                         init=DATA if twin == "discrete" else "test-problem", twin=twin)
+    _, traj, _ = run_single(config, T)
+    want = reference_controls(config)
+    assert traj.controls.shape == want.shape
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(traj.controls - want)) <= 1e-10 * scale
+    # the comparison resolves the f_T' term: dropping it misses by far more
+    without = reference_controls(config, with_f_prime=False)
+    assert np.max(np.abs(without - want)) >= 1e-3 * scale
