@@ -11,7 +11,7 @@ convergence and small-horizon blow-up benchmarks.
 
 from .core import (ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport,
                    StatePair, TimeGrid, energy, make_time_grid, rate_sequence)
-from .control import SteeringWeight, f_weight, f_weight_prime, g_vector, mu_zero
+from .control import f_weight, f_weight_prime, g_vector, mu_zero
 from .spectral import (Mode, evaluate_modal_sum, exact_test_solution,
                        modal_constants, modal_evolve, modal_rates)
 from .fdm import (FdGrid, build_dn, dn_eigenvalue, kalman_check_fdm,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PlateParams", "TimeGrid", "StatePair", "ControlTrajectory", "RunReport",
     "KalmanDiagnostics", "make_time_grid", "energy", "rate_sequence",
-    "SteeringWeight", "f_weight", "f_weight_prime", "mu_zero", "g_vector",
+    "f_weight", "f_weight_prime", "mu_zero", "g_vector",
     "Mode", "modal_rates", "modal_constants", "modal_evolve",
     "exact_test_solution", "evaluate_modal_sum",
     "FdGrid", "build_dn", "dn_eigenvalue", "sample_on_grid",

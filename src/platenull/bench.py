@@ -9,9 +9,10 @@ for the log-log blow-up figures.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 
 from . import fdm, fem
 from .control import f_weight
-from .core import StatePair, energy, rate_sequence
+from .core import StatePair, check_finite_positive, energy, rate_sequence
 from .march import march
 from .spectral import exact_test_solution
 
@@ -49,117 +50,80 @@ class ExpressionError(ValueError):
     pass
 
 
-class _Parser:
-    """Recursive-descent parser for the tiny initial-data grammar.
+# The initial-data grammar is a subset of Python's expressions: Python's
+# parser reads the text, and only these nodes are let through.
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide}
+_UNARY = {ast.UAdd: np.positive, ast.USub: np.negative}
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos}
+_VARIABLES = ("x", "y", "pi")
+# Deepest tree accepted; the recursive evaluation stays well inside Python's
+# recursion limit of 1000 frames.
+_MAX_DEPTH = 500
 
-    expr := term (("+" | "-") term)* ; term := factor (("*" | "/") factor)* ;
-    factor := ("+" | "-") factor | atom ; atom := number | "pi" | "x" | "y"
-    | ("sin" | "cos") "(" expr ")" | "(" expr ")".
+
+def _check_grammar(tree: ast.expr, text: str) -> None:
+    """Raise ExpressionError unless every node of the tree is in the grammar.
+
+    The walk keeps its own stack, so no input exhausts Python's.  A function
+    name passes only as the callee of its call.  Each number is replaced by
+    float() of its source text, so a literal too large for a float reads as
+    inf, as the text says.
     """
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {_MAX_DEPTH} levels")
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            stack.append((node.operand, depth + 1))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+            stack.append((node.args[0], depth + 1))
+        elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            try:
+                node.value = float(ast.get_source_segment(text, node))
+            except ValueError:
+                raise ExpressionError(
+                    f"{ast.get_source_segment(text, node)!r} is not a decimal number") from None
+        elif not (isinstance(node, ast.Name) and node.id in _VARIABLES):
+            raise ExpressionError(
+                f"{ast.get_source_segment(text, node)!r} is not allowed in an expression")
 
-    def __init__(self, text: str):
-        self.tokens = self._tokenize(text)
-        self.pos = 0
 
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        tokens = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c in "+-*/()":
-                tokens.append(c)
-                i += 1
-            elif c.isalpha():
-                j = i
-                while j < len(text) and text[j].isalpha():
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            elif c.isdigit() or c == ".":
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] in ".eE"
-                                         or (text[j] in "+-" and text[j - 1] in "eE")):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            else:
-                raise ExpressionError(f"unexpected character {c!r} in expression")
-        return tokens
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _take(self, expected: str | None = None) -> str:
-        tok = self._peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ExpressionError(f"expected {expected!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Callable:
-        fn = self._expr()
-        if self._peek() is not None:
-            raise ExpressionError(f"trailing input from token {self._peek()!r}")
-        return fn
-
-    def _expr(self) -> Callable:
-        fn = self._term()
-        while self._peek() in ("+", "-"):
-            op = self._take()
-            rhs = self._term()
-            lhs = fn
-            fn = ((lambda x, y, a=lhs, b=rhs: a(x, y) + b(x, y)) if op == "+"
-                  else (lambda x, y, a=lhs, b=rhs: a(x, y) - b(x, y)))
-        return fn
-
-    def _term(self) -> Callable:
-        fn = self._factor()
-        while self._peek() in ("*", "/"):
-            op = self._take()
-            rhs = self._factor()
-            lhs = fn
-            fn = ((lambda x, y, a=lhs, b=rhs: a(x, y) * b(x, y)) if op == "*"
-                  else (lambda x, y, a=lhs, b=rhs: a(x, y) / b(x, y)))
-        return fn
-
-    def _factor(self) -> Callable:
-        if self._peek() in ("+", "-"):
-            op = self._take()
-            inner = self._factor()
-            return inner if op == "+" else (lambda x, y, f=inner: -f(x, y))
-        return self._atom()
-
-    def _atom(self) -> Callable:
-        tok = self._take()
-        if tok == "(":
-            fn = self._expr()
-            self._take(")")
-            return fn
-        if tok in ("sin", "cos"):
-            self._take("(")
-            arg = self._expr()
-            self._take(")")
-            op = np.sin if tok == "sin" else np.cos
-            return lambda x, y, f=arg, op=op: op(f(x, y))
-        if tok == "pi":
-            return lambda x, y: math.pi + 0.0 * x
-        if tok == "x":
-            return lambda x, y: x
-        if tok == "y":
-            return lambda x, y: y
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ExpressionError(f"unknown token {tok!r}") from None
-        return lambda x, y, v=value: v + 0.0 * x
+def _evaluate(node: ast.expr, x, y):
+    """Value of a checked tree; a constant is broadcast to the shape of x."""
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_evaluate(node.left, x, y), _evaluate(node.right, x, y))
+    if isinstance(node, ast.UnaryOp):
+        return _UNARY[type(node.op)](_evaluate(node.operand, x, y))
+    if isinstance(node, ast.Call):
+        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], x, y))
+    if isinstance(node, ast.Constant):
+        return node.value + 0.0 * x
+    if node.id == "pi":
+        return math.pi + 0.0 * x
+    return x if node.id == "x" else y
 
 
 def parse_expression(text: str) -> Callable:
-    """Compile one expression over {x, y, sin, cos, pi, numbers, + - * /}."""
-    return _Parser(text).parse()
+    """Compile one expression over {x, y, sin, cos, pi, numbers, + - * /}.
+
+    Parentheses group; whitespace, newlines included, separates tokens.
+    Numbers are Python's decimal literals (``2``, ``.5``, ``1.5e-1``,
+    ``1_000``).  Nothing else is accepted, and trees deeper than 500 levels
+    are rejected.
+    """
+    text = " ".join(text.split())  # Python's parser rejects a newline inside an expression
+    try:
+        tree = ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError) as exc:
+        raise ExpressionError(f"malformed expression: {getattr(exc, 'msg', exc)}") from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError("expression nested too deeply to parse") from None
+    _check_grammar(tree, text)
+    return lambda x, y: _evaluate(tree, x, y)
 
 
 def resolve_initial_data(selector: str) -> tuple[Callable, Callable]:
@@ -201,9 +165,7 @@ class SweepConfig:
         if self.scheme not in ("fdm", "fem"):
             raise ValueError(f"scheme must be 'fdm' or 'fem', got {self.scheme!r}")
         for name in ("rho", "side", "dt"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            check_finite_positive(name, getattr(self, name))
         if not self.t_list or not all(math.isfinite(T) and T > 0 for T in self.t_list):
             raise ValueError(f"T-list entries must be finite and positive, got {self.t_list}")
         ratios = [self.t_list[k + 1] / self.t_list[k] for k in range(len(self.t_list) - 1)]
@@ -322,21 +284,7 @@ def emit_table(table: SweepTable, fmt: str) -> str:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
-            "config": {
-                "scheme": table.config.scheme, "n": table.config.n,
-                "rho": table.config.rho, "side": table.config.side,
-                "dt": table.config.dt, "t_list": list(table.config.t_list),
-                "init": table.config.init, "twin": table.config.twin,
-                "weighted": table.config.weighted,
-                "mesh_path": table.config.mesh_path,
-            },
-            "rows": [
-                {"T": r.T, "energy": r.energy, "energy_rate": r.energy_rate,
-                 "unorm": r.unorm, "unorm_rate": r.unorm_rate}
-                for r in table.rows
-            ],
-        }
+        payload = {"config": asdict(table.config), "rows": [asdict(r) for r in table.rows]}
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r} (csv, markdown, json)")
 
@@ -345,14 +293,8 @@ def table_from_json(text: str) -> SweepTable:
     """Parse the JSON emission back into an equal SweepTable."""
     payload = json.loads(text)
     cfg = payload["config"]
-    config = SweepConfig(scheme=cfg["scheme"], n=cfg["n"], rho=cfg["rho"],
-                         side=cfg["side"], dt=cfg["dt"],
-                         t_list=tuple(cfg["t_list"]), init=cfg["init"],
-                         twin=cfg["twin"], weighted=cfg["weighted"],
-                         mesh_path=cfg["mesh_path"])
-    rows = tuple(SweepRow(T=r["T"], energy=r["energy"], energy_rate=r["energy_rate"],
-                          unorm=r["unorm"], unorm_rate=r["unorm_rate"])
-                 for r in payload["rows"])
+    config = SweepConfig(**{**cfg, "t_list": tuple(cfg["t_list"])})
+    rows = tuple(SweepRow(**r) for r in payload["rows"])
     return SweepTable(rows=rows, config=config)
 
 

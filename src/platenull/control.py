@@ -13,12 +13,9 @@ here is a pure function of vectors and scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SteeringWeight",
     "f_weight",
     "f_weight_prime",
     "mu_zero",
@@ -46,26 +43,6 @@ def f_weight_prime(t, T):
     """Derivative f_T'(t) = 6 (T - 2t) / T^3; vanishes at t = T/2."""
     _check_time(t, T)
     return 6.0 * (T - 2.0 * t) / T**3
-
-
-@dataclass(frozen=True)
-class SteeringWeight:
-    """The steering bump for one horizon; only Kalman index k = 1 is supported."""
-
-    T: float
-    k: int = 1
-
-    def __post_init__(self) -> None:
-        if self.T <= 0:
-            raise ValueError(f"terminal time must be positive, got {self.T}")
-        if self.k != 1:
-            raise ValueError("only Kalman index k = 1 is implemented")
-
-    def __call__(self, t: float) -> float:
-        return f_weight(t, self.T)
-
-    def prime(self, t: float) -> float:
-        return f_weight_prime(t, self.T)
 
 
 def mu_zero(vh: np.ndarray, wh: np.ndarray, rho: float, t: float, T: float) -> np.ndarray:

@@ -22,6 +22,7 @@ __all__ = [
     "KalmanDiagnostics",
     "KALMAN_DENSE_CAP",
     "make_time_grid",
+    "check_finite_positive",
     "warn_coarse_step",
     "energy",
     "euclidean_sq",
@@ -33,7 +34,7 @@ __all__ = [
 class PlateParams:
     """Physical and discretization configuration of one run.
 
-    rho : structural damping coefficient, rho > 0 and rho != 2.
+    rho : structural damping coefficient, rho > 0.
     a   : side length of the square domain (0, a)^2.
     T   : terminal (steering) time.
     m   : number of time steps, so dt = T/m.
@@ -47,12 +48,8 @@ class PlateParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.rho <= 0 or self.rho == 2:
-            raise ValueError(f"rho must be positive and != 2, got {self.rho}")
-        if self.a <= 0:
-            raise ValueError(f"domain side must be positive, got {self.a}")
-        if self.T <= 0:
-            raise ValueError(f"terminal time must be positive, got {self.T}")
+        for name in ("rho", "a", "T"):
+            check_finite_positive(name, getattr(self, name))
         if self.m < 2:
             raise ValueError(f"need at least 2 time steps, got {self.m}")
         if self.n < 2:
@@ -151,6 +148,12 @@ class KalmanDiagnostics:
     @property
     def full_rank(self) -> bool:
         return self.rank == self.dim
+
+
+def check_finite_positive(name: str, value: float) -> None:
+    """The one rule for rho, dt, the side and T: raise ValueError unless 0 < value < inf."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def warn_coarse_step(dt: float, rho: float) -> None:

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
-                   RunReport, StatePair, euclidean_sq, warn_coarse_step)
+                   RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step)
 from .linalg import SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march
 
@@ -126,8 +126,8 @@ class FdmStepper:
     """
 
     def __init__(self, dn: sp.spmatrix, dt: float, rho: float):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        check_finite_positive("dt", dt)
+        check_finite_positive("rho", rho)
         warn_coarse_step(dt, rho)
         self.dn = dn.tocsr()
         self.dt = dt

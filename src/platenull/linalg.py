@@ -12,12 +12,12 @@ coincides with the plain relative residual ||Ax - b||/||b|| <= tol.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from .core import check_finite_positive
 
 __all__ = [
     "SpdFactorization",
@@ -197,10 +197,8 @@ class SplitStepSolver:
     """
 
     def __init__(self, M: sp.spmatrix, S: sp.spmatrix, dt: float, rho: float):
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be finite and positive, got {dt}")
-        if not (math.isfinite(rho) and rho > 0):
-            raise ValueError(f"rho must be finite and positive, got {rho}")
+        check_finite_positive("dt", dt)
+        check_finite_positive("rho", rho)
         _check_square(M, "mass matrix")
         if S.shape != M.shape:
             raise ValueError(f"M and S must have one shape, got {M.shape} and {S.shape}")

@@ -9,11 +9,52 @@ import numpy as np
 import pytest
 
 import platenull
+from platenull.core import PlateParams
+from platenull.fdm import run_fdm_null_control
+from platenull.fem import run_fem_null_control
 from platenull.bench import (ExpressionError, SweepConfig, SweepRow, SweepTable,
                              emit_table, fit_loglog_slope, loglog_data,
                              parse_expression, resolve_initial_data, run_single,
                              run_sweep, table_from_json)
 from platenull.cli import main
+
+
+# Python expressions outside the grammar; each must be rejected before evaluation.
+OUTSIDE_GRAMMAR = ["sin", "sin + 1", "cos(sin)", "sin(x, y)", "x**2", "1j", "True", "x.real",
+                   "x if y else 1", "[x]", "__import__('os')"]
+
+# Inputs a hand-written recursive-descent parser overflowed on, and a literal
+# too large for a float, which must read as inf and fail the finiteness check.
+DEEP_OR_HUGE = {
+    "300-nested-parentheses": "(" * 300 + "x" + ")" * 300,
+    "3000-unary-minuses": "-" * 3000 + "x",
+    "1000-term-sum": "+".join(["x"] * 1000),
+    "5000-term-sum": "+".join(["x"] * 5000),
+    "400-digit-integer": "1" * 400,
+}
+
+# The test_values expressions (and one split by a newline) as direct numpy,
+# with each number broadcast as value + 0.0 * x.
+DIRECT_NUMPY = [
+    ("2+3*4", lambda x, y: (2.0 + 0.0 * x) + (3.0 + 0.0 * x) * (4.0 + 0.0 * x)),
+    ("(2+3)*4", lambda x, y: ((2.0 + 0.0 * x) + (3.0 + 0.0 * x)) * (4.0 + 0.0 * x)),
+    ("-x+y", lambda x, y: -x + y),
+    ("x*y/2", lambda x, y: x * y / (2.0 + 0.0 * x)),
+    ("sin(x)*cos(y)", lambda x, y: np.sin(x) * np.cos(y)),
+    ("1.5e-1*x", lambda x, y: (0.15 + 0.0 * x) * x),
+    ("sin(2*x)*sin(2*y)",
+     lambda x, y: np.sin((2.0 + 0.0 * x) * x) * np.sin((2.0 + 0.0 * x) * y)),
+    ("pi", lambda x, y: math.pi + 0.0 * x),
+    ("--2", lambda x, y: -(-(2.0 + 0.0 * x))),
+    ("x\n+y", lambda x, y: x + y),
+]
+
+
+def run_cli_process(*args):
+    """Run the CLI in a fresh interpreter, so numpy warnings reach stderr unfiltered."""
+    env = {**os.environ, "PYTHONPATH": str(Path(platenull.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "platenull.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestExpressionGrammar:
@@ -41,6 +82,18 @@ class TestExpressionGrammar:
     def test_rejects_malformed(self, text):
         with pytest.raises(ExpressionError):
             parse_expression(text)
+
+    @pytest.mark.parametrize("text", OUTSIDE_GRAMMAR)
+    def test_rejects_outside_grammar(self, text):
+        with pytest.raises(ExpressionError, match="not allowed"):
+            parse_expression(text)
+
+    @pytest.mark.parametrize("text,direct", DIRECT_NUMPY,
+                             ids=[text for text, _ in DIRECT_NUMPY])
+    def test_bitwise_equal_to_direct_numpy(self, text, direct):
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(0, math.pi, 50), rng.uniform(0, math.pi, 50)
+        assert np.array_equal(parse_expression(text)(x, y), direct(x, y))
 
     def test_resolve_test_problem(self):
         v0, w0 = resolve_initial_data("test-problem")
@@ -122,6 +175,16 @@ class TestRunSweep:
             report, _, _ = run_single(cfg, row.T)
             assert row.unorm == pytest.approx(report.control_norm, rel=1e-12)
             assert row.energy == pytest.approx(report.terminal_energy, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme,run", [("fdm", run_fdm_null_control),
+                                            ("fem", run_fem_null_control)])
+    def test_one_horizon_run_at_rho_two(self, scheme, run):
+        # PlateParams takes every rho the CLI takes; the run equals the CLI's path
+        params = PlateParams(rho=2.0, a=math.pi, T=1.0, m=4, n=4)
+        report, _, _ = run(params, lambda x, y: 0.0 * x, lambda x, y: np.sin(x) * np.sin(y))
+        want, _, _ = run_single(self.small_config(scheme=scheme, rho=2.0,
+                                                  init="0;sin(x)*sin(y)"), 1.0)
+        assert report == want
 
     def test_fem_scheme_runs(self):
         table = run_sweep(self.small_config(scheme="fem"))
@@ -279,12 +342,28 @@ class TestCli:
         assert captured.out == ""
 
     def test_nonfinite_init_prints_only_the_error_line(self):
-        # a fresh interpreter, so numpy warnings reach stderr unfiltered
-        env = {**os.environ, "PYTHONPATH": str(Path(platenull.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-m", "platenull.cli", "--n", "4", "--dt", "0.25",
-             "--t-list", "1", "--init", "0;1/(x-x)"],
-            capture_output=True, text=True, env=env, timeout=120)
+        done = run_cli_process("--n", "4", "--dt", "0.25", "--t-list", "1",
+                               "--init", "0;1/(x-x)")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), done.stderr
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("expr", OUTSIDE_GRAMMAR + list(DEEP_OR_HUGE.values()),
+                             ids=OUTSIDE_GRAMMAR + list(DEEP_OR_HUGE))
+    def test_rejected_init_exit_code(self, expr, capsys):
+        code = main(["--n", "4", "--dt", "0.25", "--t-list", "1", "--init", f"0;{expr}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+
+    @pytest.mark.parametrize("expr", DEEP_OR_HUGE.values(), ids=DEEP_OR_HUGE.keys())
+    def test_deep_or_huge_init_prints_only_the_error_line(self, expr):
+        done = run_cli_process("--n", "4", "--dt", "0.25", "--t-list", "1",
+                               "--init", f"0;{expr}")
         assert done.returncode == 2
         assert done.stdout == ""
         lines = done.stderr.splitlines()

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from platenull.control import (SteeringWeight, f_weight, f_weight_prime,
-                               g_vector, mu_zero)
+from platenull.control import f_weight, f_weight_prime, g_vector, mu_zero
 
 
 class TestFWeight:
@@ -60,17 +59,6 @@ class TestFWeightPrime:
         for t in rng.uniform(eps, T - eps, size=20):
             fd = (f_weight(t + eps, T) - f_weight(t - eps, T)) / (2 * eps)
             assert abs(fd - f_weight_prime(t, T)) <= 1e-8
-
-
-class TestSteeringWeight:
-    def test_callable_forms(self):
-        w = SteeringWeight(T=2.0)
-        assert w(1.0) == f_weight(1.0, 2.0)
-        assert w.prime(0.5) == f_weight_prime(0.5, 2.0)
-
-    def test_only_index_one(self):
-        with pytest.raises(ValueError):
-            SteeringWeight(T=2.0, k=2)
 
 
 class TestMuZero:

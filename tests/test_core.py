@@ -101,9 +101,12 @@ class TestPlateParams:
         p = PlateParams(rho=2.5, a=np.pi, T=2.0, m=10, n=4)
         assert p.dt == pytest.approx(0.2)
 
+    def test_accepts_rho_two(self):
+        assert PlateParams(rho=2.0, a=np.pi, T=2.0, m=10, n=4).rho == 2.0
+
     @pytest.mark.parametrize("kw", [
-        {"rho": 2.0}, {"rho": 0.0}, {"rho": -1.0},
-        {"a": 0.0}, {"T": 0.0}, {"m": 1}, {"n": 1},
+        {"rho": 0.0}, {"rho": -1.0}, {"rho": np.nan}, {"rho": np.inf},
+        {"a": 0.0}, {"a": np.nan}, {"T": 0.0}, {"T": np.inf}, {"m": 1}, {"n": 1},
     ])
     def test_invariants(self, kw):
         base = {"rho": 2.5, "a": np.pi, "T": 2.0, "m": 10, "n": 4}

@@ -183,6 +183,16 @@ class TestSteps:
         np.testing.assert_array_equal(hom.v, ctl.v)
         np.testing.assert_array_equal(hom.w, ctl.w)
 
+    @pytest.mark.parametrize("dt,rho", [
+        (0.0, RHO), (-0.1, RHO), (np.nan, RHO), (np.inf, RHO),
+        (0.1, 0.0), (0.1, -1.0), (0.1, np.nan), (0.1, np.inf),
+    ])
+    def test_rejects_nonpositive_or_nonfinite_dt_or_rho(self, dt, rho):
+        # ValueError, not the LinAlgError ("solver failure") a NaN factor would raise
+        with pytest.raises(ValueError, match="finite and positive") as caught:
+            FdmStepper(self.dn, dt, rho)
+        assert not isinstance(caught.value, np.linalg.LinAlgError)
+
     def test_controlled_step_against_block_solver(self):
         # one step from rest under u = e1, cross-checked with the generic solver
         N = self.grid.N
