@@ -11,14 +11,11 @@ convergence and small-horizon blow-up benchmarks.
 
 from .core import (ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport,
                    StatePair, TimeGrid, energy, make_time_grid, rate_sequence)
-from .control import f_weight, f_weight_prime, g_vector, mu_zero
-from .spectral import (Mode, evaluate_modal_sum, exact_test_solution,
-                       modal_constants, modal_evolve, modal_rates)
-from .fdm import (FdGrid, build_dn, dn_eigenvalue, kalman_check_fdm,
-                  run_fdm_null_control, sample_on_grid)
+from .control import f_weight, f_weight_prime, g_vector, kalman_check, mu_zero
+from .fdm import FdGrid, build_dn, dn_eigenvalue, run_fdm_null_control, sample_on_grid
 from .fem import (FemSpace, TriMesh, build_fem_space, build_structured_mesh,
-                  interpolate_nodal, kalman_check_fem, load_mesh,
-                  run_fem_null_control)
+                  interpolate_nodal, load_mesh, run_fem_null_control)
+from .spectral import Mode, evaluate_modal_sum, exact_test_solution, modal_evolve
 from .bench import (SweepConfig, SweepTable, emit_table, fit_loglog_slope,
                     run_property_checks, run_sweep)
 
@@ -27,13 +24,13 @@ __version__ = "0.1.0"
 __all__ = [
     "PlateParams", "TimeGrid", "StatePair", "ControlTrajectory", "RunReport",
     "KalmanDiagnostics", "make_time_grid", "energy", "rate_sequence",
-    "f_weight", "f_weight_prime", "mu_zero", "g_vector",
-    "Mode", "modal_rates", "modal_constants", "modal_evolve",
+    "f_weight", "f_weight_prime", "mu_zero", "g_vector", "kalman_check",
+    "Mode", "modal_evolve",
     "exact_test_solution", "evaluate_modal_sum",
     "FdGrid", "build_dn", "dn_eigenvalue", "sample_on_grid",
-    "run_fdm_null_control", "kalman_check_fdm",
+    "run_fdm_null_control",
     "TriMesh", "FemSpace", "build_structured_mesh", "build_fem_space",
-    "load_mesh", "interpolate_nodal", "run_fem_null_control", "kalman_check_fem",
+    "load_mesh", "interpolate_nodal", "run_fem_null_control",
     "SweepConfig", "SweepTable", "run_sweep", "emit_table", "fit_loglog_slope",
     "run_property_checks",
 ]

@@ -16,10 +16,11 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from . import fdm, fem
-from .control import f_weight
+from .control import f_weight, kalman_check
 from .core import StatePair, check_finite_positive, energy, rate_sequence
 from .march import march
 from .spectral import exact_test_solution
@@ -62,13 +63,19 @@ _MAX_DEPTH = 500
 
 
 def _check_grammar(tree: ast.expr, text: str) -> None:
-    """Raise ExpressionError unless every node of the tree is in the grammar.
+    """Raise ExpressionError unless every node of the one-line tree is in the grammar.
 
     The walk keeps its own stack, so no input exhausts Python's.  A function
     name passes only as the callee of its call.  Each number is replaced by
     float() of its source text, so a literal too large for a float reads as
-    inf, as the text says.
+    inf, as the text says.  A node's text is its UTF-8 column span, read in
+    time proportional to the node, not to the whole text.
     """
+    data = text.encode()
+
+    def source(node: ast.expr) -> str:
+        return data[node.col_offset:node.end_col_offset].decode()
+
     stack = [(tree, 1)]
     while stack:
         node, depth = stack.pop()
@@ -83,13 +90,11 @@ def _check_grammar(tree: ast.expr, text: str) -> None:
             stack.append((node.args[0], depth + 1))
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
             try:
-                node.value = float(ast.get_source_segment(text, node))
+                node.value = float(source(node))
             except ValueError:
-                raise ExpressionError(
-                    f"{ast.get_source_segment(text, node)!r} is not a decimal number") from None
+                raise ExpressionError(f"{source(node)!r} is not a decimal number") from None
         elif not (isinstance(node, ast.Name) and node.id in _VARIABLES):
-            raise ExpressionError(
-                f"{ast.get_source_segment(text, node)!r} is not allowed in an expression")
+            raise ExpressionError(f"{source(node)!r} is not allowed in an expression")
 
 
 def _evaluate(node: ast.expr, x, y):
@@ -324,16 +329,17 @@ def run_property_checks(rho: float = 2.5, side: float = math.pi) -> list[Propert
     def record(name, passed, detail):
         results.append(PropertyResult(name=name, passed=bool(passed), detail=detail))
 
-    for n in (2, 4, 8):
-        diag = fdm.kalman_check_fdm(fdm.FdGrid(n=n, a=side), rho)
-        record(f"fdm kalman identity (n={n})",
-               diag.identity_error <= 1e-10 and diag.full_rank,
-               f"|K K^-1 - I| = {diag.identity_error:.2e}, rank {diag.rank}/{diag.dim}")
-    for n in (2, 4, 8):
-        diag = fem.kalman_check_fem(fem.build_fem_space(n, side), rho)
-        record(f"fem kalman identity (n={n})",
-               diag.identity_error <= 1e-10 and diag.full_rank,
-               f"|K K^-1 - I| = {diag.identity_error:.2e}, rank {diag.rank}/{diag.dim}")
+    for scheme in ("fdm", "fem"):
+        for n in (2, 4, 8):
+            if scheme == "fdm":  # the FDM pair is (I, D)
+                M, S = sp.identity(n * n), fdm.build_dn(fdm.FdGrid(n=n, a=side))
+            else:
+                space = fem.build_fem_space(n, side)
+                M, S = space.M, space.S
+            diag = kalman_check(M, S, rho)
+            record(f"{scheme} kalman identity (n={n})",
+                   diag.identity_error <= 1e-10 and diag.full_rank,
+                   f"|K K^-1 - I| = {diag.identity_error:.2e}, rank {diag.rank}/{diag.dim}")
 
     for n in (2, 4, 8):
         grid = fdm.FdGrid(n=n, a=side)

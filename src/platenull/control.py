@@ -8,18 +8,21 @@ The constructed null control is u = mu0 + mu1', where
 
 with (v_h, w_h) the homogeneous trajectory and f_T the normalized bump
 below.  The spatial solve differs per scheme and lives there; everything
-here is a pure function of vectors and scalars.
+here is a pure function of vectors, scalars and the (mass, stiffness) pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import KALMAN_DENSE_CAP, KalmanDiagnostics
+
 __all__ = [
     "f_weight",
     "f_weight_prime",
     "mu_zero",
     "g_vector",
+    "kalman_check",
 ]
 
 
@@ -62,3 +65,28 @@ def g_vector(vh_next2: np.ndarray, vh_next: np.ndarray, dt: float,
         raise ValueError(f"dt must be positive, got {dt}")
     return ((vh_next2 - vh_next) / dt * f_weight(t_next, T)
             + vh_next * f_weight_prime(t_next, T))
+
+
+def kalman_check(M, S, rho: float) -> KalmanDiagnostics:
+    """Verify the rank condition for [B, A B] with the closed-form inverse.
+
+    For the sparse (mass, stiffness) pair of either scheme (FDM passes
+    (I, D)), K = [[0, M^{-1}S], [I, -rho M^{-1}S]] and K^{-1} = [[rho I, I],
+    [S^{-1}M, 0]]; the product is checked densely, so N <= KALMAN_DENSE_CAP^2.
+    For FDM ||S^{-1}M||_2 = 1/lambda_{1,1}, bounded by ~a^2/(2 pi^2) as the
+    grid is refined.
+    """
+    N = S.shape[0]
+    if N > KALMAN_DENSE_CAP**2:
+        raise ValueError(f"dense Kalman check capped at N <= {KALMAN_DENSE_CAP**2}")
+    M, S = M.toarray(), S.toarray()
+    Minv_S = np.linalg.solve(M, S)
+    Z = np.zeros((N, N))
+    eye = np.eye(N)
+    K = np.block([[Z, Minv_S], [eye, -rho * Minv_S]])
+    Sinv_M = np.linalg.solve(S, M)
+    Kinv = np.block([[rho * eye, eye], [Sinv_M, Z]])
+    identity_error = float(np.max(np.abs(K @ Kinv - np.eye(2 * N))))
+    rank = int(np.linalg.matrix_rank(K))
+    return KalmanDiagnostics(dim=2 * N, rank=rank, identity_error=identity_error,
+                             operator_inv_norm=float(np.linalg.norm(Sinv_M, 2)))

@@ -78,8 +78,7 @@ class TimeGrid:
 
 def make_time_grid(T: float, m: int) -> TimeGrid:
     """Uniform time grid with m steps on [0, T]."""
-    if T <= 0:
-        raise ValueError(f"terminal time must be positive, got {T}")
+    check_finite_positive("T", T)
     if m < 2:
         raise ValueError(f"need at least 2 time steps, got {m}")
     dt = T / m
@@ -132,7 +131,7 @@ class RunReport:
                 raise ValueError(f"{name} must be finite and nonnegative, got {x}")
 
 
-# Grid points per axis up to which the Kalman checks build dense 2N x 2N matrices.
+# The Kalman check builds dense 2N x 2N matrices up to N = KALMAN_DENSE_CAP**2 unknowns.
 KALMAN_DENSE_CAP = 24
 
 
@@ -143,7 +142,7 @@ class KalmanDiagnostics:
     dim: int                  # state dimension 2N
     rank: int                 # numerical rank of the Kalman matrix
     identity_error: float     # max |K K^{-1} - I| with the closed-form inverse
-    operator_inv_norm: float  # ||D^{-1}||_2 (FDM) / ||S^{-1} M||_2 (FEM)
+    operator_inv_norm: float  # ||S^{-1} M||_2, which is ||D^{-1}||_2 for FDM
 
     @property
     def full_rank(self) -> bool:

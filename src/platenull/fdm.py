@@ -24,8 +24,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
-                   RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step)
+from .core import (ControlTrajectory, PlateParams, RunReport, StatePair, check_finite_positive,
+                   euclidean_sq, warn_coarse_step)
 from .linalg import SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march
 
@@ -39,8 +39,6 @@ __all__ = [
     "fdm_control_at_step",
     "fdm_scheme",
     "run_fdm_null_control",
-    "KalmanDiagnostics",
-    "kalman_check_fdm",
 ]
 
 @dataclass(frozen=True)
@@ -53,8 +51,7 @@ class FdGrid:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1 interior points, got {self.n}")
-        if self.a <= 0:
-            raise ValueError(f"domain side must be positive, got {self.a}")
+        check_finite_positive("a", self.a)
 
     @property
     def h(self) -> float:
@@ -178,25 +175,3 @@ def run_fdm_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum
     return march(scheme, sample_on_grid(v0, grid), sample_on_grid(w0, grid), [params.T],
                  twin=twin, keep_controls=True)[0]
 
-
-def kalman_check_fdm(grid: FdGrid, rho: float) -> KalmanDiagnostics:
-    """Verify the rank condition for [B, A B] with the closed-form inverse.
-
-    K = [[0, D], [I, -rho D]] and K^{-1} = [[rho I, I], [D^{-1}, 0]]; the
-    product is checked densely, so the grid is capped at n <= 24.
-    ||D^{-1}||_2 equals 1/lambda_{1,1} and stays bounded by ~a^2/(2 pi^2)
-    as the grid is refined.
-    """
-    if grid.n > KALMAN_DENSE_CAP:
-        raise ValueError(f"dense Kalman check capped at n <= {KALMAN_DENSE_CAP}")
-    N = grid.N
-    D = build_dn(grid).toarray()
-    Z = np.zeros((N, N))
-    eye = np.eye(N)
-    K = np.block([[Z, D], [eye, -rho * D]])
-    Dinv = np.linalg.inv(D)
-    Kinv = np.block([[rho * eye, eye], [Dinv, Z]])
-    identity_error = float(np.max(np.abs(K @ Kinv - np.eye(2 * N))))
-    rank = int(np.linalg.matrix_rank(K))
-    return KalmanDiagnostics(dim=2 * N, rank=rank, identity_error=identity_error,
-                             operator_inv_norm=1.0 / dn_eigenvalue(1, 1, grid))

@@ -29,18 +29,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import (KALMAN_DENSE_CAP, ControlTrajectory, KalmanDiagnostics, PlateParams,
-                   RunReport, StatePair, warn_coarse_step)
+from .core import (ControlTrajectory, PlateParams, RunReport, StatePair, check_finite_positive,
+                   warn_coarse_step)
 from .fdm import FdGrid, build_dn, dn_eigenvalues
 from .linalg import SineSolver, SpdFactorization, SplitStepSolver
 from .march import InitialDatum, Scheme, TwinSource, march
 
 __all__ = [
     "TriMesh",
-    "MeshFamilyReport",
     "build_structured_mesh",
     "load_mesh",
-    "mesh_family_report",
     "assemble_mass",
     "assemble_stiffness",
     "FemSpace",
@@ -50,7 +48,6 @@ __all__ = [
     "make_stiffness_solver",
     "fem_scheme",
     "run_fem_null_control",
-    "kalman_check_fem",
 ]
 
 @dataclass(frozen=True)
@@ -93,8 +90,7 @@ def build_structured_mesh(n: int, a: float) -> TriMesh:
     """Diagonal split of the uniform (n+1) x (n+1) grid of (0, a)^2."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if a <= 0:
-        raise ValueError(f"domain side must be positive, got {a}")
+    check_finite_positive("a", a)
     k = n + 2  # vertices per axis
     coords = np.linspace(0.0, a, k)
     X, Y = np.meshgrid(coords, coords, indexing="xy")
@@ -133,30 +129,6 @@ def load_mesh(path: str | Path) -> TriMesh:
     except (IndexError, ValueError) as exc:
         raise ValueError(f"malformed mesh file {path}: {exc}") from exc
     return TriMesh(vertices=verts, triangles=tris, boundary=flags)
-
-
-@dataclass(frozen=True)
-class MeshFamilyReport:
-    """Audit of the classical mesh-family bounds, scaled by the vertex count."""
-
-    max_valence: int
-    area_times_n: tuple[float, float]      # (min, max) of R_K * nv
-    diam_times_sqrt_n: tuple[float, float]  # (min, max) of h_K * sqrt(nv)
-
-
-def mesh_family_report(mesh: TriMesh) -> MeshFamilyReport:
-    nv = len(mesh.vertices)
-    counts = np.bincount(mesh.triangles.ravel(), minlength=nv)
-    areas = mesh.signed_areas()
-    p = mesh.vertices[mesh.triangles]
-    edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    diams = np.sqrt((edges**2).sum(axis=2)).max(axis=0)
-    return MeshFamilyReport(
-        max_valence=int(counts.max()),
-        area_times_n=(float(areas.min() * nv), float(areas.max() * nv)),
-        diam_times_sqrt_n=(float(diams.min() * math.sqrt(nv)),
-                           float(diams.max() * math.sqrt(nv))),
-    )
 
 
 def _element_matrices(mesh: TriMesh):
@@ -319,23 +291,3 @@ def run_fem_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum
     return march(scheme, interpolate_nodal(v0, space), interpolate_nodal(w0, space),
                  [params.T], twin=twin, keep_controls=True)[0]
 
-
-def kalman_check_fem(space: FemSpace, rho: float) -> KalmanDiagnostics:
-    """Verify the rank condition for [B, A B] with the closed-form inverse.
-
-    K = [[0, M^{-1}S], [I, -rho M^{-1}S]] and K^{-1} = [[rho I, I],
-    [S^{-1}M, 0]]; the product is checked densely on small spaces.
-    """
-    N = space.N
-    if N > KALMAN_DENSE_CAP**2:
-        raise ValueError(f"dense Kalman check capped at N <= {KALMAN_DENSE_CAP**2}")
-    Minv_S = np.linalg.solve(space.M.toarray(), space.S.toarray())
-    Z = np.zeros((N, N))
-    eye = np.eye(N)
-    K = np.block([[Z, Minv_S], [eye, -rho * Minv_S]])
-    Sinv_M = np.linalg.solve(space.S.toarray(), space.M.toarray())
-    Kinv = np.block([[rho * eye, eye], [Sinv_M, Z]])
-    identity_error = float(np.max(np.abs(K @ Kinv - np.eye(2 * N))))
-    rank = int(np.linalg.matrix_rank(K))
-    return KalmanDiagnostics(dim=2 * N, rank=rank, identity_error=identity_error,
-                             operator_inv_norm=float(np.linalg.norm(Sinv_M, 2)))

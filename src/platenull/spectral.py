@@ -6,9 +6,9 @@ On (0, a)^2 with Dirichlet conditions the Laplacian has eigenpairs
     phi_{mn}(x, y) = (2/a) sin(m pi x / a) sin(n pi y / a),
 
 and each modal coefficient pair (alpha, beta) of (v, w) evolves under the
-2x2 system [[0, lambda], [-lambda, -rho*lambda]].  For rho > 2 both modal
-rates are real and negative and the evolution is an explicit combination of
-two exponentials; rho < 2 would need complex rates and is out of scope.
+2x2 system lambda [[0, 1], [-1, -rho]].  Its matrix exponential covers every
+rho > 0: two real rates for rho > 2, a double rate at rho = 2 and a complex
+pair for rho < 2.
 """
 
 from __future__ import annotations
@@ -18,57 +18,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy.linalg import expm
+
+from .core import check_finite_positive
 
 __all__ = [
     "Mode",
-    "ModalEvolution",
-    "modal_rates",
-    "modal_constants",
     "modal_evolve",
-    "similarity_matrix",
     "exact_test_solution",
     "evaluate_modal_sum",
 ]
-
-
-def _check_rho(rho: float) -> None:
-    if rho <= 2:
-        raise ValueError(
-            f"the spectral reference requires rho > 2 (real distinct rates), got {rho}")
-
-
-def _disc(rho: float) -> float:
-    return math.sqrt(rho * rho - 4.0)
-
-
-def modal_rates(lam: float, rho: float) -> tuple[float, float]:
-    """Decay rates eta_1 <= eta_2 < 0 of one mode with Laplacian eigenvalue lam.
-
-    eta_{1,2} = -(lam/2)(rho +- sqrt(rho^2 - 4)); they satisfy
-    eta_1 * eta_2 = lam^2 and eta_1 + eta_2 = -rho*lam.
-    """
-    _check_rho(rho)
-    if lam <= 0:
-        raise ValueError(f"Laplacian eigenvalue must be positive, got {lam}")
-    s = _disc(rho)
-    return -(lam / 2.0) * (rho + s), -(lam / 2.0) * (rho - s)
-
-
-def similarity_matrix(rho: float) -> np.ndarray:
-    """Columns are the eigenvectors of the modal 2x2 evolution matrix."""
-    _check_rho(rho)
-    s = _disc(rho)
-    return np.array([[-rho / 2.0 + s / 2.0, -rho / 2.0 - s / 2.0],
-                     [1.0, 1.0]])
-
-
-def modal_constants(alpha0: float, beta0: float, rho: float) -> tuple[float, float]:
-    """Expansion constants (c1, c2) with S @ (c1, c2) = (alpha0, beta0)."""
-    _check_rho(rho)
-    s = _disc(rho)
-    c1 = (alpha0 + beta0 / 2.0 * (rho + s)) / s
-    c2 = (-alpha0 - beta0 / 2.0 * (rho - s)) / s
-    return c1, c2
 
 
 @dataclass(frozen=True)
@@ -89,8 +48,7 @@ class Mode:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise ValueError("wave numbers must be positive integers")
-        if self.a <= 0:
-            raise ValueError("domain side must be positive")
+        check_finite_positive("a", self.a)
 
     @property
     def lam(self) -> float:
@@ -101,35 +59,14 @@ class Mode:
                 * np.sin(self.n * math.pi * y / self.a))
 
 
-@dataclass(frozen=True)
-class ModalEvolution:
-    """Diagonalized evolution data of one mode: rates, constants, eigenbasis."""
-
-    eta1: float
-    eta2: float
-    c1: float
-    c2: float
-    similarity: np.ndarray
-
-    @classmethod
-    def of(cls, mode: Mode, rho: float) -> "ModalEvolution":
-        eta1, eta2 = modal_rates(mode.lam, rho)
-        c1, c2 = modal_constants(mode.alpha0, mode.beta0, rho)
-        return cls(eta1=eta1, eta2=eta2, c1=c1, c2=c2,
-                   similarity=similarity_matrix(rho))
-
-    def coefficients(self, t: float) -> tuple[float, float]:
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
-        z = np.array([self.c1 * math.exp(self.eta1 * t),
-                      self.c2 * math.exp(self.eta2 * t)])
-        alpha, beta = self.similarity @ z
-        return float(alpha), float(beta)
-
-
 def modal_evolve(mode: Mode, rho: float, t: float) -> tuple[float, float]:
-    """Coefficients (alpha(t), beta(t)) of one mode at time t >= 0."""
-    return ModalEvolution.of(mode, rho).coefficients(t)
+    """Coefficients (alpha(t), beta(t)) of one mode at time t >= 0, for any rho > 0."""
+    check_finite_positive("rho", rho)
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    alpha, beta = expm(t * mode.lam * np.array([[0.0, 1.0], [-1.0, -rho]])) @ (
+        mode.alpha0, mode.beta0)
+    return float(alpha), float(beta)
 
 
 def exact_test_solution(x, y, t):

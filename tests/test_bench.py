@@ -88,6 +88,11 @@ class TestExpressionGrammar:
         with pytest.raises(ExpressionError, match="not allowed"):
             parse_expression(text)
 
+    def test_error_names_non_ascii_source_text(self):
+        # node columns are UTF-8 byte offsets; slicing the str by them would misquote
+        with pytest.raises(ExpressionError, match="'é' is not allowed"):
+            parse_expression("é*0+2")
+
     @pytest.mark.parametrize("text,direct", DIRECT_NUMPY,
                              ids=[text for text, _ in DIRECT_NUMPY])
     def test_bitwise_equal_to_direct_numpy(self, text, direct):

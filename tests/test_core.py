@@ -22,7 +22,8 @@ class TestMakeTimeGrid:
         tg = make_time_grid(2.0**-9, 3)
         assert tg.dt == pytest.approx(1.0 / 1536.0, rel=1e-15)
 
-    @pytest.mark.parametrize("T,m", [(2.0, 1), (2.0, 0), (0.0, 4), (-1.0, 4)])
+    @pytest.mark.parametrize("T,m", [(2.0, 1), (2.0, 0), (0.0, 4), (-1.0, 4),
+                                     (float("nan"), 4), (float("inf"), 4)])
     def test_rejects_bad_input(self, T, m):
         with pytest.raises(ValueError):
             make_time_grid(T, m)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from platenull.control import kalman_check
 from platenull.core import PlateParams, StatePair
 from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
-                           fdm_control_at_step, fdm_scheme, kalman_check_fdm,
-                           run_fdm_null_control, sample_on_grid)
+                           fdm_control_at_step, fdm_scheme, run_fdm_null_control,
+                           sample_on_grid)
 from platenull.linalg import BlockSolver, SpdFactorization
 from platenull.spectral import exact_test_solution
 
@@ -40,6 +41,11 @@ class TestGrid:
         seen = {g.index(i, j) for j in range(1, 6) for i in range(1, 6)}
         assert seen == set(range(25))
         assert g.index(2, 3) == 2 * 5 + 1  # x index runs fastest
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_side(self, a):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FdGrid(n=4, a=a)
 
     def test_index_bounds(self):
         g = FdGrid(n=3, a=1.0)
@@ -368,14 +374,15 @@ class TestHomogeneousConvergence:
 
 class TestKalman:
     def test_small_grid_identity(self):
-        diag = kalman_check_fdm(FdGrid(n=2, a=np.pi), RHO)
+        grid = FdGrid(n=2, a=np.pi)
+        diag = kalman_check(sp.identity(grid.N), build_dn(grid), RHO)
         assert diag.identity_error <= 1e-10
         assert diag.full_rank
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_inverse_norm_formula_and_bound(self, n):
         grid = FdGrid(n=n, a=np.pi)
-        diag = kalman_check_fdm(grid, RHO)
+        diag = kalman_check(sp.identity(grid.N), build_dn(grid), RHO)
         assert diag.operator_inv_norm == pytest.approx(
             1.0 / dn_eigenvalue(1, 1, grid), rel=1e-14)
         # uniformly bounded by a^2/(2 pi^2) up to a refinement margin
@@ -383,9 +390,11 @@ class TestKalman:
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_full_rank(self, n):
-        diag = kalman_check_fdm(FdGrid(n=n, a=np.pi), RHO)
+        grid = FdGrid(n=n, a=np.pi)
+        diag = kalman_check(sp.identity(grid.N), build_dn(grid), RHO)
         assert diag.rank == diag.dim == 2 * n * n
 
     def test_dense_cap(self):
         with pytest.raises(ValueError):
-            kalman_check_fdm(FdGrid(n=40, a=np.pi), RHO)
+            grid = FdGrid(n=40, a=np.pi)
+            kalman_check(sp.identity(grid.N), build_dn(grid), RHO)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from platenull.control import kalman_check
 from platenull.core import PlateParams, StatePair
 from platenull.fdm import FdGrid, build_dn
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble_mass,
                            assemble_stiffness, build_fem_space,
                            build_structured_mesh, fem_control_at_step, fem_scheme,
-                           interpolate_nodal, kalman_check_fem, load_mesh,
-                           make_stiffness_solver, mesh_family_report,
+                           interpolate_nodal, load_mesh, make_stiffness_solver,
                            run_fem_null_control)
 from platenull.linalg import SineSolver, SpdFactorization
 from platenull.march import Scheme, march
@@ -32,16 +32,10 @@ class TestStructuredMesh:
         np.testing.assert_allclose(mesh.signed_areas(),
                                    a**2 / (2.0 * (n + 1) ** 2), rtol=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
-    def test_family_bounds(self, n):
-        a = np.pi
-        mesh = build_structured_mesh(n, a)
-        rep = mesh_family_report(mesh)
-        assert rep.max_valence <= 6
-        lo, hi = rep.area_times_n
-        assert a**2 / 2 * 0.9 <= lo <= hi <= a**2 * 1.1
-        lo, hi = rep.diam_times_sqrt_n
-        assert a * 0.9 <= lo <= hi <= 2.0 * a * 1.1
+    @pytest.mark.parametrize("a", [0.0, math.nan, math.inf])
+    def test_rejects_bad_side(self, a):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_structured_mesh(4, a)
 
     def test_rejects_inverted_triangle(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -332,7 +326,8 @@ class TestHomogeneousConvergence:
 class TestKalman:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_identity_and_rank(self, n):
-        diag = kalman_check_fem(build_fem_space(n, np.pi), RHO)
+        space = build_fem_space(n, np.pi)
+        diag = kalman_check(space.M, space.S, RHO)
         assert diag.identity_error <= 1e-10
         assert diag.rank == diag.dim == 2 * n * n
 

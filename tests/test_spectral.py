@@ -2,59 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from platenull.spectral import (Mode, evaluate_modal_sum, exact_test_solution,
-                                modal_constants, modal_evolve, modal_rates,
-                                similarity_matrix)
+from platenull.core import StatePair, euclidean_sq
+from platenull.fdm import FdGrid, FdmStepper, build_dn
+from platenull.fem import FemStepper, build_fem_space
+from platenull.spectral import Mode, evaluate_modal_sum, exact_test_solution, modal_evolve
 
 RHO = 2.5  # sqrt(rho^2 - 4) = 3/2, the benchmark damping
-
-
-class TestModalRates:
-    def test_benchmark_mode(self):
-        eta1, eta2 = modal_rates(8.0, RHO)
-        assert eta1 == pytest.approx(-16.0, rel=1e-15)
-        assert eta2 == pytest.approx(-4.0, rel=1e-15)
-
-    def test_unit_eigenvalue(self):
-        eta1, eta2 = modal_rates(1.0, RHO)
-        assert eta1 == pytest.approx(-2.0, rel=1e-15)
-        assert eta2 == pytest.approx(-0.5, rel=1e-15)
-
-    def test_vieta_identities(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            lam = rng.uniform(0.1, 50.0)
-            rho = rng.uniform(2.01, 10.0)
-            eta1, eta2 = modal_rates(lam, rho)
-            assert eta1 * eta2 == pytest.approx(lam**2, rel=1e-12)
-            assert eta1 + eta2 == pytest.approx(-rho * lam, rel=1e-12)
-            assert eta1 < eta2 < 0
-
-    def test_rejects_small_rho(self):
-        with pytest.raises(ValueError):
-            modal_rates(8.0, 2.0)
-        with pytest.raises(ValueError):
-            modal_rates(8.0, 1.5)
-
-
-class TestModalConstants:
-    def test_zero_data(self):
-        assert modal_constants(0.0, 0.0, RHO) == (0.0, 0.0)
-
-    def test_benchmark_values(self):
-        c1, c2 = modal_constants(0.0, 1.0, RHO)
-        assert c1 == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert c2 == pytest.approx(-1.0 / 3.0, rel=1e-15)
-
-    def test_reconstruction_identity(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            a0, b0 = rng.standard_normal(2)
-            rho = rng.uniform(2.01, 8.0)
-            c = np.array(modal_constants(a0, b0, rho))
-            got = similarity_matrix(rho) @ c
-            np.testing.assert_allclose(got, [a0, b0], atol=1e-12)
 
 
 class TestModalEvolve:
@@ -87,24 +42,30 @@ class TestModalEvolve:
             assert beta == pytest.approx(2 * math.exp(-16 * t) - 0.5 * math.exp(-4 * t),
                                          abs=1e-13)
 
-    def test_envelope_decay(self):
-        mode = Mode(m=3, n=1, alpha0=1.0, beta0=-2.0)
-        eta1, eta2 = modal_rates(mode.lam, RHO)
-        c1, c2 = modal_constants(mode.alpha0, mode.beta0, RHO)
-        S = similarity_matrix(RHO)
-        last_env = math.inf
-        for t in np.linspace(0.0, 2.0, 40):
-            alpha, beta = modal_evolve(mode, RHO, t)
-            env = (abs(c1) * math.exp(eta1 * t) * np.abs(S[:, 0])
-                   + abs(c2) * math.exp(eta2 * t) * np.abs(S[:, 1]))
-            assert abs(alpha) <= env[0] * (1 + 1e-12)
-            assert abs(beta) <= env[1] * (1 + 1e-12)
-            assert env.sum() <= last_env * (1 + 1e-12)
-            last_env = env.sum()
-
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             modal_evolve(Mode(m=1, n=1, alpha0=0.0, beta0=1.0), RHO, -0.1)
+
+    @pytest.mark.parametrize("rho", [2.0, 1.5])
+    def test_matches_dop853_at_double_or_complex_rates(self, rho):
+        mode = Mode(m=1, n=2, alpha0=0.3, beta0=-0.7)
+        generator = mode.lam * np.array([[0.0, 1.0], [-1.0, -rho]])
+        ts = (0.1, 0.5, 1.0, 2.0)
+        ref = solve_ivp(lambda t, y: generator @ y, (0.0, ts[-1]), [0.3, -0.7],
+                        method="DOP853", rtol=1e-13, atol=1e-16, t_eval=ts)
+        for k, t in enumerate(ts):
+            np.testing.assert_allclose(modal_evolve(mode, rho, t), ref.y[:, k], rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_or_nan_rho(self, rho):
+        with pytest.raises(ValueError, match="finite and positive"):
+            modal_evolve(Mode(m=1, n=1, alpha0=0.0, beta0=1.0), rho, 0.5)
+
+    @pytest.mark.parametrize("a", [0.0, math.nan, math.inf])
+    def test_mode_rejects_bad_side(self, a):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Mode(m=1, n=1, alpha0=0.0, beta0=1.0, a=a)
 
 
 class TestExactTestSolution:
@@ -164,3 +125,47 @@ class TestEvaluateModalSum:
         # lambda scales with (pi/a)^2
         mode = Mode(m=2, n=2, alpha0=0.0, beta0=1.0, a=2 * math.pi)
         assert mode.lam == pytest.approx(2.0, rel=1e-15)
+
+
+class TestSchemesAgainstClosedForm:
+    """Both implicit schemes converge to the modal solution for rho below, at and above 2.
+
+    rho < 2 runs the split step's complex factors and rho = 2 its double root.
+    The state error at t = 1/2 is measured relative to the initial state.
+    """
+
+    MODE = Mode(m=1, n=2, alpha0=0.4 * math.pi / 2, beta0=-0.9 * math.pi / 2)
+
+    def relative_errors(self, rho, discretize):
+        errs = []
+        for n, dt in ((8, 0.02), (16, 0.01), (32, 0.005)):
+            x, y, stepper, sq_norm = discretize(n, dt)
+            state = StatePair(*evaluate_modal_sum([self.MODE], rho, x, y, 0.0))
+            initial = sq_norm(state.v) + sq_norm(state.w)
+            for _ in range(round(0.5 / dt)):
+                state = stepper.step(state)
+            ve, we = evaluate_modal_sum([self.MODE], rho, x, y, 0.5)
+            errs.append(math.sqrt((sq_norm(state.v - ve) + sq_norm(state.w - we)) / initial))
+        return errs
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 2.5])
+    def test_fem_in_mass_norm(self, rho):
+        def discretize(n, dt):
+            space = build_fem_space(n, math.pi)
+            x, y = space.nodes().T
+            return x, y, FemStepper(space, dt, rho), space.mass_sq_norm
+
+        errs = self.relative_errors(rho, discretize)
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 5e-3
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 2.5])
+    def test_fdm_in_euclidean_norm(self, rho):
+        def discretize(n, dt):
+            grid = FdGrid(n=n, a=math.pi)
+            x, y = grid.points()
+            return x, y, FdmStepper(build_dn(grid), dt, rho), euclidean_sq
+
+        errs = self.relative_errors(rho, discretize)
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 5e-3
