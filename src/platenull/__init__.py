@@ -9,8 +9,7 @@ verify them against a closed-form spectral solution, and reproduce the
 convergence and small-horizon blow-up benchmarks.
 """
 
-from .core import (ControlTrajectory, KalmanDiagnostics, PlateParams, RunReport,
-                   StatePair, TimeGrid, energy, make_time_grid, rate_sequence)
+from .core import KalmanDiagnostics, RunReport, StatePair, energy, rate_sequence
 from .control import f_weight, f_weight_prime, g_vector, kalman_check, mu_zero
 from .fdm import FdGrid, build_dn, dn_eigenvalue, run_fdm_null_control, sample_on_grid
 from .fem import (FemSpace, TriMesh, build_fem_space, build_structured_mesh,
@@ -22,8 +21,7 @@ from .bench import (SweepConfig, SweepTable, emit_table, fit_loglog_slope,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PlateParams", "TimeGrid", "StatePair", "ControlTrajectory", "RunReport",
-    "KalmanDiagnostics", "make_time_grid", "energy", "rate_sequence",
+    "StatePair", "RunReport", "KalmanDiagnostics", "energy", "rate_sequence",
     "f_weight", "f_weight_prime", "mu_zero", "g_vector", "kalman_check",
     "Mode", "modal_evolve",
     "exact_test_solution", "evaluate_modal_sum",

@@ -223,7 +223,7 @@ def _discretize(config: SweepConfig):
 
 
 def run_single(config: SweepConfig, T: float):
-    """(report, control trajectory, terminal state) of one run at terminal time T."""
+    """(report, controls, terminal state) of one run at terminal time T."""
     scheme, v, w, twin = _discretize(config)
     return march(scheme, v, w, [T], twin=twin, keep_controls=True)[0]
 
@@ -379,10 +379,10 @@ def run_property_checks(rho: float = 2.5, side: float = math.pi) -> list[Propert
                           t_list=(1.0,), init="0;sin(2*x)*sin(2*y)")
         cfg2 = SweepConfig(scheme=scheme, n=8, rho=rho, side=side, dt=0.125,
                            t_list=(1.0,), init="0;2*sin(2*x)*sin(2*y)")
-        _, traj, _ = run_single(cfg, 1.0)
-        _, traj2, _ = run_single(cfg2, 1.0)
-        gap = float(np.max(np.abs(traj2.controls - 2.0 * traj.controls)))
-        scale = float(np.max(np.abs(traj.controls)))
+        _, u, _ = run_single(cfg, 1.0)
+        _, u2, _ = run_single(cfg2, 1.0)
+        gap = float(np.max(np.abs(u2 - 2.0 * u)))
+        scale = float(np.max(np.abs(u)))
         record(f"{scheme} control linear in initial data", gap <= 1e-10 * scale,
                f"|u(2 y0) - 2 u(y0)| = {gap:.2e}")
 

@@ -1,4 +1,4 @@
-"""Shared configuration, state and reporting types used by both schemes.
+"""Shared state and reporting types, and the checks both schemes apply.
 
 Everything here is plain data.  Instances are treated as immutable after
 construction and may be shared freely across concurrent runs.
@@ -8,83 +8,22 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PlateParams",
-    "TimeGrid",
     "StatePair",
-    "ControlTrajectory",
     "RunReport",
     "KalmanDiagnostics",
     "KALMAN_DENSE_CAP",
-    "make_time_grid",
     "check_finite_positive",
     "warn_coarse_step",
     "energy",
     "euclidean_sq",
     "rate_sequence",
 ]
-
-
-@dataclass(frozen=True)
-class PlateParams:
-    """Physical and discretization configuration of one run.
-
-    rho : structural damping coefficient, rho > 0.
-    a   : side length of the square domain (0, a)^2.
-    T   : terminal (steering) time.
-    m   : number of time steps, so dt = T/m.
-    n   : interior resolution per axis (FDM grid points, FEM mesh nodes).
-    """
-
-    rho: float
-    a: float
-    T: float
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        for name in ("rho", "a", "T"):
-            check_finite_positive(name, getattr(self, name))
-        if self.m < 2:
-            raise ValueError(f"need at least 2 time steps, got {self.m}")
-        if self.n < 2:
-            raise ValueError(f"need interior resolution >= 2, got {self.n}")
-
-    @property
-    def dt(self) -> float:
-        return self.T / self.m
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform grid t_j = j*dt, j = 0..m."""
-
-    dt: float
-    nodes: np.ndarray = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def T(self) -> float:
-        return float(self.nodes[-1])
-
-
-def make_time_grid(T: float, m: int) -> TimeGrid:
-    """Uniform time grid with m steps on [0, T]."""
-    check_finite_positive("T", T)
-    if m < 2:
-        raise ValueError(f"need at least 2 time steps, got {m}")
-    dt = T / m
-    nodes = dt * np.arange(m + 1)
-    nodes.flags.writeable = False
-    return TimeGrid(dt=dt, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -102,27 +41,11 @@ class StatePair:
 
 
 @dataclass(frozen=True)
-class ControlTrajectory:
-    """The sequence of discrete controls u^{j+1}, j = 0..m-1, on its time grid."""
-
-    controls: np.ndarray  # shape (m, N); row j is the control applied at t_{j+1}
-    grid: TimeGrid
-
-    def __post_init__(self) -> None:
-        if len(self.controls) != self.grid.m:
-            raise ValueError(
-                f"expected {self.grid.m} controls, got {len(self.controls)}")
-
-
-@dataclass(frozen=True)
 class RunReport:
-    """Per-run summary: terminal energy, control norm, configuration echo."""
+    """Per-run summary: terminal energy and control norm."""
 
     terminal_energy: float
     control_norm: float
-    T: float
-    dt: float
-    N: int
 
     def __post_init__(self) -> None:
         for name in ("terminal_energy", "control_norm"):

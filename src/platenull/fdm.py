@@ -24,8 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import (ControlTrajectory, PlateParams, RunReport, StatePair, check_finite_positive,
-                   euclidean_sq, warn_coarse_step)
+from .core import RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step
 from .linalg import SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march
 
@@ -161,17 +160,16 @@ def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -
                   sq_norms=lambda X: weight * euclidean_sq(X))
 
 
-def run_fdm_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum, *,
+def run_fdm_null_control(grid: FdGrid, dt: float, rho: float, T: float,
+                         v0: InitialDatum, w0: InitialDatum, *,
                          twin: TwinSource = "discrete", weighted: bool = False,
-                         ) -> tuple[RunReport, ControlTrajectory, StatePair]:
+                         ) -> tuple[RunReport, np.ndarray, StatePair]:
     """Steer the sampled initial data toward zero over [0, T]: one horizon of the march.
 
     Reports the terminal energy and the control norm
     (dt * sum ||u^{j+1}||^2)^(1/2); ``weighted`` switches both from Euclidean
     to h-weighted discrete-L2 norms for cross-scheme comparison.
     """
-    grid = FdGrid(n=params.n, a=params.a)
-    scheme = fdm_scheme(grid, params.dt, params.rho, weighted=weighted)
-    return march(scheme, sample_on_grid(v0, grid), sample_on_grid(w0, grid), [params.T],
+    scheme = fdm_scheme(grid, dt, rho, weighted=weighted)
+    return march(scheme, sample_on_grid(v0, grid), sample_on_grid(w0, grid), [T],
                  twin=twin, keep_controls=True)[0]
-

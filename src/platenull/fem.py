@@ -29,8 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import (ControlTrajectory, PlateParams, RunReport, StatePair, check_finite_positive,
-                   warn_coarse_step)
+from .core import RunReport, StatePair, check_finite_positive, warn_coarse_step
 from .fdm import FdGrid, build_dn, dn_eigenvalues
 from .linalg import SineSolver, SpdFactorization, SplitStepSolver
 from .march import InitialDatum, Scheme, TwinSource, march
@@ -39,8 +38,7 @@ __all__ = [
     "TriMesh",
     "build_structured_mesh",
     "load_mesh",
-    "assemble_mass",
-    "assemble_stiffness",
+    "assemble",
     "FemSpace",
     "interpolate_nodal",
     "FemStepper",
@@ -68,6 +66,8 @@ class TriMesh:
         if self.triangles.size and not (
                 0 <= self.triangles.min() and self.triangles.max() < len(self.vertices)):
             raise ValueError(f"triangle vertex indices must lie in [0, {len(self.vertices)})")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("vertex coordinates must be finite")
         if np.any(self.signed_areas() <= 0):
             raise ValueError("all triangles must be positively oriented")
 
@@ -150,23 +150,16 @@ def _element_matrices(mesh: TriMesh):
     return mass, stiff
 
 
-def _assemble(mesh: TriMesh, local: np.ndarray) -> sp.csr_matrix:
+def assemble(mesh: TriMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Gram matrices (phi_i, phi_j) and (grad phi_i, grad phi_j) over all vertices.
+
+    Boundary rows are included; both come from one pass over the elements.
+    """
     nv = len(mesh.vertices)
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
-
-
-def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
-    """Gram matrix (phi_i, phi_j) over all vertices (boundary rows included)."""
-    mass, _ = _element_matrices(mesh)
-    return _assemble(mesh, mass)
-
-
-def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
-    """Gram matrix (grad phi_i, grad phi_j) over all vertices."""
-    _, stiff = _element_matrices(mesh)
-    return _assemble(mesh, stiff)
+    return tuple(sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+                 for local in _element_matrices(mesh))
 
 
 @dataclass(frozen=True)
@@ -183,8 +176,7 @@ class FemSpace:
         interior = mesh.interior
         if len(interior) == 0:
             raise ValueError("mesh has no interior vertex, so its P1 space is empty")
-        M = assemble_mass(mesh)[interior][:, interior]
-        S = assemble_stiffness(mesh)[interior][:, interior]
+        M, S = (A[interior][:, interior] for A in assemble(mesh))
         return cls(mesh=mesh, interior=interior, M=M, S=S)
 
     @property
@@ -276,18 +268,15 @@ def fem_scheme(space: FemSpace, dt: float, rho: float) -> Scheme:
                   sq_norms=space.mass_sq_norm)
 
 
-def run_fem_null_control(params: PlateParams, v0: InitialDatum, w0: InitialDatum, *,
-                         twin: TwinSource = "discrete", mesh: TriMesh | None = None,
-                         ) -> tuple[RunReport, ControlTrajectory, StatePair]:
+def run_fem_null_control(space: FemSpace, dt: float, rho: float, T: float,
+                         v0: InitialDatum, w0: InitialDatum, *,
+                         twin: TwinSource = "discrete",
+                         ) -> tuple[RunReport, np.ndarray, StatePair]:
     """Steer the interpolated initial data toward zero over [0, T].
 
     Same march as the finite-difference run; states and controls are
-    measured in the mass-weighted L2 norm.  A custom ``mesh`` (e.g. an
-    imported Delaunay triangulation) overrides the structured default.
+    measured in the mass-weighted L2 norm.
     """
-    space = FemSpace.from_mesh(mesh if mesh is not None else
-                               build_structured_mesh(params.n, params.a))
-    scheme = fem_scheme(space, params.dt, params.rho)
-    return march(scheme, interpolate_nodal(v0, space), interpolate_nodal(w0, space),
-                 [params.T], twin=twin, keep_controls=True)[0]
-
+    scheme = fem_scheme(space, dt, rho)
+    return march(scheme, interpolate_nodal(v0, space), interpolate_nodal(w0, space), [T],
+                 twin=twin, keep_controls=True)[0]

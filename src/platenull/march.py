@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .control import f_weight, f_weight_prime
-from .core import ControlTrajectory, RunReport, StatePair, energy, make_time_grid
+from .core import RunReport, StatePair, check_finite_positive, energy
 
 __all__ = ["Scheme", "InitialDatum", "TwinSource", "steps_for", "march"]
 
@@ -45,6 +45,7 @@ class Scheme:
 
 def steps_for(T: float, dt: float) -> int:
     """Number of steps m with m dt = T; T must be a multiple (>= 2) of dt."""
+    check_finite_positive("T", T)
     m = max(2, round(T / dt))
     if abs(m * dt - T) > 1e-9 * T:
         raise ValueError(f"T = {T} is not an integer multiple (>= 2) of dt = {dt}")
@@ -53,11 +54,12 @@ def steps_for(T: float, dt: float) -> int:
 
 def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[float], *,
           twin: TwinSource = "discrete", keep_controls: bool = False,
-          ) -> list[tuple[RunReport, ControlTrajectory | None, StatePair]]:
+          ) -> list[tuple[RunReport, np.ndarray | None, StatePair]]:
     """Steer (v0, w0) toward zero over every horizon T in ``horizons`` at once.
 
     Returns, in the order of ``horizons``, the run report, the controls
-    (with ``keep_controls``, else None) and the terminal state.
+    (with ``keep_controls``, else None) and the terminal state.  The controls
+    of a horizon with m steps are an (m, N) array whose row j is u^{j+1}.
     """
     if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(w0))):
         raise ValueError("initial data must be finite at every node")
@@ -114,10 +116,8 @@ def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[flo
     results: list = [None] * K
     for c, idx in enumerate(order):
         report = RunReport(terminal_energy=float(energies[c]),
-                           control_norm=math.sqrt(dt * float(sq_controls[c])),
-                           T=float(T[c]), dt=dt, N=N)
-        traj = (ControlTrajectory(controls=kept[c, :m[c]], grid=make_time_grid(T[c], m[c]))
-                if keep_controls else None)
+                           control_norm=math.sqrt(dt * float(sq_controls[c])))
+        controls = kept[c, :m[c]] if keep_controls else None
         terminal = StatePair(v=V[:, off + c].copy(), w=W[:, off + c].copy())
-        results[idx] = (report, traj, terminal)
+        results[idx] = (report, controls, terminal)
     return results

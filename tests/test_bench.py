@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import platenull
-from platenull.core import PlateParams
-from platenull.fdm import run_fdm_null_control
-from platenull.fem import run_fem_null_control
+from platenull.fdm import FdGrid, run_fdm_null_control
+from platenull.fem import build_fem_space, run_fem_null_control
 from platenull.bench import (ExpressionError, SweepConfig, SweepRow, SweepTable,
                              emit_table, fit_loglog_slope, loglog_data,
                              parse_expression, resolve_initial_data, run_single,
@@ -184,9 +183,10 @@ class TestRunSweep:
     @pytest.mark.parametrize("scheme,run", [("fdm", run_fdm_null_control),
                                             ("fem", run_fem_null_control)])
     def test_one_horizon_run_at_rho_two(self, scheme, run):
-        # PlateParams takes every rho the CLI takes; the run equals the CLI's path
-        params = PlateParams(rho=2.0, a=math.pi, T=1.0, m=4, n=4)
-        report, _, _ = run(params, lambda x, y: 0.0 * x, lambda x, y: np.sin(x) * np.sin(y))
+        # the drivers take every rho the CLI takes; the run equals the CLI's path
+        disc = FdGrid(n=4, a=math.pi) if scheme == "fdm" else build_fem_space(4, math.pi)
+        report, _, _ = run(disc, 0.25, 2.0, 1.0, lambda x, y: 0.0 * x,
+                           lambda x, y: np.sin(x) * np.sin(y))
         want, _, _ = run_single(self.small_config(scheme=scheme, rho=2.0,
                                                   init="0;sin(x)*sin(y)"), 1.0)
         assert report == want
@@ -382,6 +382,23 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "no_such_dir" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_mesh_vertex_exit_code(self, tmp_path, capsys):
+        # 3 x 3 vertices of (0, 2)^2, one interior; the corner (2, 2) reads x = inf
+        verts = [f"{x} {y} {int((x, y) != (1, 1))}" for y in range(3) for x in range(3)]
+        verts[8] = "inf 2 1"
+        cells = [3 * j + i for j in range(2) for i in range(2)]
+        tris = [f"{v} {v + 1} {v + 4}" for v in cells] + [f"{v} {v + 4} {v + 3}" for v in cells]
+        path = tmp_path / "inf.txt"
+        path.write_text("\n".join(["9 8"] + verts + tris) + "\n")
+        code = main(["--scheme", "fem", "--mesh", str(path), "--dt", "0.25",
+                     "--t-list", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
 
     def test_out_of_range_mesh_index_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

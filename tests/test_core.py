@@ -2,36 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from platenull.core import (PlateParams, RunReport, StatePair, energy, euclidean_sq,
-                            make_time_grid, rate_sequence)
-
-
-class TestMakeTimeGrid:
-    def test_table_grid(self):
-        # dt = 0.2 over [0, 2], the coarse benchmark grid
-        tg = make_time_grid(2.0, 10)
-        assert tg.dt == pytest.approx(0.2)
-        np.testing.assert_allclose(tg.nodes, 0.2 * np.arange(11))
-        assert tg.T == pytest.approx(2.0, abs=1e-15)
-
-    def test_smallest_legal_grid(self):
-        tg = make_time_grid(1.0, 2)
-        np.testing.assert_array_equal(tg.nodes, [0.0, 0.5, 1.0])
-
-    def test_blowup_grid(self):
-        tg = make_time_grid(2.0**-9, 3)
-        assert tg.dt == pytest.approx(1.0 / 1536.0, rel=1e-15)
-
-    @pytest.mark.parametrize("T,m", [(2.0, 1), (2.0, 0), (0.0, 4), (-1.0, 4),
-                                     (float("nan"), 4), (float("inf"), 4)])
-    def test_rejects_bad_input(self, T, m):
-        with pytest.raises(ValueError):
-            make_time_grid(T, m)
-
-    def test_nodes_strictly_increasing(self):
-        tg = make_time_grid(7.3, 17)
-        assert np.all(np.diff(tg.nodes) > 0)
-        assert tg.nodes[-1] == pytest.approx(7.3, rel=1e-15)
+from platenull.core import RunReport, StatePair, energy, euclidean_sq, rate_sequence
 
 
 class TestEnergy:
@@ -97,27 +68,9 @@ class TestRateSequence:
         assert 2.0**-rate == pytest.approx(ratio, rel=1e-9)
 
 
-class TestPlateParams:
-    def test_dt(self):
-        p = PlateParams(rho=2.5, a=np.pi, T=2.0, m=10, n=4)
-        assert p.dt == pytest.approx(0.2)
-
-    def test_accepts_rho_two(self):
-        assert PlateParams(rho=2.0, a=np.pi, T=2.0, m=10, n=4).rho == 2.0
-
-    @pytest.mark.parametrize("kw", [
-        {"rho": 0.0}, {"rho": -1.0}, {"rho": np.nan}, {"rho": np.inf},
-        {"a": 0.0}, {"a": np.nan}, {"T": 0.0}, {"T": np.inf}, {"m": 1}, {"n": 1},
-    ])
-    def test_invariants(self, kw):
-        base = {"rho": 2.5, "a": np.pi, "T": 2.0, "m": 10, "n": 4}
-        with pytest.raises(ValueError):
-            PlateParams(**{**base, **kw})
-
-
 class TestRunReport:
     def test_accepts_zero(self):
-        RunReport(terminal_energy=0.0, control_norm=0.0, T=2.0, dt=0.2, N=16)
+        RunReport(terminal_energy=0.0, control_norm=0.0)
 
     @pytest.mark.parametrize("energy_value,norm", [
         (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf),
@@ -125,4 +78,4 @@ class TestRunReport:
     ])
     def test_rejects_negative_or_non_finite(self, energy_value, norm):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            RunReport(terminal_energy=energy_value, control_norm=norm, T=2.0, dt=0.2, N=16)
+            RunReport(terminal_energy=energy_value, control_norm=norm)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from platenull.control import kalman_check
-from platenull.core import PlateParams, StatePair
+from platenull.core import StatePair
 from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
                            fdm_control_at_step, fdm_scheme, run_fdm_null_control,
                            sample_on_grid)
@@ -275,18 +275,17 @@ class TestNullControlRun:
     @pytest.mark.parametrize("twin", ["discrete", "exact"])
     def test_matches_modal_oracle(self, twin):
         n, T, m = 8, 1.0, 8
-        params = PlateParams(rho=RHO, a=np.pi, T=T, m=m, n=n)
         grid = FdGrid(n=n, a=np.pi)
         x, y = grid.points()
         twin_arg = twin if twin == "discrete" else \
             (lambda t: exact_test_solution(x, y, t))
-        report, traj, state = run_fdm_null_control(
-            params, lambda x, y: 0.0 * x,
+        report, controls, state = run_fdm_null_control(
+            grid, T / m, RHO, T, lambda x, y: 0.0 * x,
             lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), twin=twin_arg)
         energy_expect, unorm_expect = modal_null_control_oracle(n, np.pi, T, m, twin)
         assert report.terminal_energy == pytest.approx(energy_expect, rel=1e-10)
         assert report.control_norm == pytest.approx(unorm_expect, rel=1e-10)
-        assert len(traj.controls) == m
+        assert len(controls) == m
         phi = np.sin(2 * x) * np.sin(2 * y)
         coef = (state.v @ phi) / (phi @ phi)
         np.testing.assert_allclose(state.v, coef * phi, atol=1e-12)
@@ -297,32 +296,30 @@ class TestNullControlRun:
                            + 0.5 * np.sin(2 * x) * np.sin(3 * y))
         energies = []
         for m in (8, 16, 32):
-            params = PlateParams(rho=RHO, a=np.pi, T=1.0, m=m, n=8)
-            report, _, _ = run_fdm_null_control(params, lambda x, y: 0.0 * x, w0)
+            report, _, _ = run_fdm_null_control(FdGrid(n=8, a=np.pi), 1.0 / m, RHO, 1.0,
+                                                lambda x, y: 0.0 * x, w0)
             energies.append(report.terminal_energy)
         # roughly O(dt^2): at least a factor 3 per halving
         assert energies[0] / energies[1] >= 3.0
         assert energies[1] / energies[2] >= 3.0
 
     def test_warns_outside_guaranteed_step_regime(self):
-        params = PlateParams(rho=RHO, a=np.pi, T=2.0, m=2, n=4)  # dt = 1 >= 1/rho
-        with pytest.warns(RuntimeWarning, match="1/rho"):
-            run_fdm_null_control(params, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
+        with pytest.warns(RuntimeWarning, match="1/rho"):  # dt = 1 >= 1/rho
+            run_fdm_null_control(FdGrid(n=4, a=np.pi), 1.0, RHO, 2.0,
+                                 lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
 
     def test_zero_data_gives_zero_control(self):
-        params = PlateParams(rho=RHO, a=np.pi, T=1.0, m=4, n=4)
-        report, traj, state = run_fdm_null_control(
-            params, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
+        report, controls, state = run_fdm_null_control(
+            FdGrid(n=4, a=np.pi), 0.25, RHO, 1.0, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
         assert report.terminal_energy == 0.0
         assert report.control_norm == 0.0
-        np.testing.assert_array_equal(traj.controls, np.zeros_like(traj.controls))
+        np.testing.assert_array_equal(controls, np.zeros_like(controls))
 
     def test_weighted_norms_scale(self):
-        params = PlateParams(rho=RHO, a=np.pi, T=1.0, m=4, n=4)
-        datum = (lambda x, y: 0.0 * x,
-                 lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y))
-        plain, _, _ = run_fdm_null_control(params, *datum)
-        weighted, _, _ = run_fdm_null_control(params, *datum, weighted=True)
+        run = (FdGrid(n=4, a=np.pi), 0.25, RHO, 1.0, lambda x, y: 0.0 * x,
+               lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y))
+        plain, _, _ = run_fdm_null_control(*run)
+        weighted, _, _ = run_fdm_null_control(*run, weighted=True)
         h = np.pi / 5
         assert weighted.terminal_energy == pytest.approx(
             plain.terminal_energy * h**2, rel=1e-12)
@@ -330,13 +327,12 @@ class TestNullControlRun:
             plain.control_norm * h, rel=1e-12)
 
     def test_doubling_data_doubles_controls(self):
-        params = PlateParams(rho=RHO, a=np.pi, T=1.0, m=5, n=6)
+        grid = FdGrid(n=6, a=np.pi)
         w0 = lambda x, y: np.sin(x) * np.sin(2 * y)  # noqa: E731
-        _, traj1, _ = run_fdm_null_control(params, lambda x, y: 0.0 * x, w0)
-        _, traj2, _ = run_fdm_null_control(
-            params, lambda x, y: 0.0 * x, lambda x, y: 2.0 * w0(x, y))
-        np.testing.assert_allclose(traj2.controls, 2.0 * traj1.controls,
-                                   atol=1e-10 * np.abs(traj1.controls).max())
+        _, u1, _ = run_fdm_null_control(grid, 0.2, RHO, 1.0, lambda x, y: 0.0 * x, w0)
+        _, u2, _ = run_fdm_null_control(
+            grid, 0.2, RHO, 1.0, lambda x, y: 0.0 * x, lambda x, y: 2.0 * w0(x, y))
+        np.testing.assert_allclose(u2, 2.0 * u1, atol=1e-10 * np.abs(u1).max())
 
 
     def test_large_grid_factors_directly(self, monkeypatch):

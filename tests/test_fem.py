@@ -5,10 +5,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from platenull.control import kalman_check
-from platenull.core import PlateParams, StatePair
+from platenull.core import StatePair
 from platenull.fdm import FdGrid, build_dn
-from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble_mass,
-                           assemble_stiffness, build_fem_space,
+from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble, build_fem_space,
                            build_structured_mesh, fem_control_at_step, fem_scheme,
                            interpolate_nodal, load_mesh, make_stiffness_solver,
                            run_fem_null_control)
@@ -43,6 +42,14 @@ class TestStructuredMesh:
         with pytest.raises(ValueError, match="orient"):
             TriMesh(vertices=verts, triangles=tris, boundary=np.ones(3, dtype=bool))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_vertex(self, bad):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        verts[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TriMesh(vertices=verts, triangles=np.array([[0, 1, 2]]),
+                    boundary=np.ones(3, dtype=bool))
+
     def test_rejects_out_of_range_vertex_index(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2], [0, 2, 7]])
@@ -66,7 +73,7 @@ class TestAssembly:
         tris = np.array([[0, 1, 2]])
         mesh = TriMesh(vertices=verts, triangles=tris,
                        boundary=np.ones(3, dtype=bool))
-        M = assemble_mass(mesh).toarray()
+        M = assemble(mesh)[0].toarray()
         area = 0.5
         expected = area / 12.0 * np.array([[2.0, 1.0, 1.0],
                                            [1.0, 2.0, 1.0],
@@ -79,7 +86,7 @@ class TestAssembly:
         tris = np.array([[0, 1, 2]])
         mesh = TriMesh(vertices=verts, triangles=tris,
                        boundary=np.ones(3, dtype=bool))
-        S = assemble_stiffness(mesh).toarray()
+        S = assemble(mesh)[1].toarray()
         expected = 0.5 * np.array([[2.0, -1.0, -1.0],
                                    [-1.0, 1.0, 0.0],
                                    [-1.0, 0.0, 1.0]])
@@ -89,7 +96,7 @@ class TestAssembly:
     def test_partition_of_unity_row_sums(self, n):
         # sum_j (phi_i, phi_j) = integral of phi_i = (support area)/3
         mesh = build_structured_mesh(n, np.pi)
-        M = assemble_mass(mesh)
+        M, _ = assemble(mesh)
         areas = mesh.signed_areas()
         support = np.zeros(len(mesh.vertices))
         for t, area in zip(mesh.triangles, areas):
@@ -99,7 +106,7 @@ class TestAssembly:
 
     def test_total_mass_is_domain_area(self):
         mesh = build_structured_mesh(6, 2.0)
-        assert assemble_mass(mesh).sum() == pytest.approx(4.0, rel=1e-12)
+        assert assemble(mesh)[0].sum() == pytest.approx(4.0, rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_stiffness_equals_scaled_five_point_matrix(self, n):
@@ -246,22 +253,21 @@ class TestControlAtStep:
 
 class TestNullControlRun:
     def test_zero_data(self):
-        params = PlateParams(rho=RHO, a=np.pi, T=1.0, m=4, n=4)
-        report, traj, _ = run_fem_null_control(
-            params, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
+        report, controls, _ = run_fem_null_control(
+            build_fem_space(4, np.pi), 0.25, RHO, 1.0,
+            lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
         assert report.terminal_energy == 0.0
         assert report.control_norm == 0.0
-        np.testing.assert_array_equal(traj.controls, np.zeros_like(traj.controls))
+        np.testing.assert_array_equal(controls, np.zeros_like(controls))
 
     @pytest.mark.parametrize("twin", ["discrete", "exact"])
     def test_steers_benchmark_datum_down(self, twin):
-        params = PlateParams(rho=RHO, a=np.pi, T=2.0, m=10, n=8)
         space = build_fem_space(8, np.pi)
         pts = space.nodes()
         twin_arg = twin if twin == "discrete" else \
             (lambda t: exact_test_solution(pts[:, 0], pts[:, 1], t))
         report, _, _ = run_fem_null_control(
-            params, lambda x, y: 0.0 * x,
+            space, 0.2, RHO, 2.0, lambda x, y: 0.0 * x,
             lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), twin=twin_arg)
         w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y),
                                space)
@@ -270,13 +276,12 @@ class TestNullControlRun:
         assert report.control_norm > 0
 
     def test_control_linear_in_data(self):
-        params = PlateParams(rho=RHO, a=np.pi, T=1.0, m=5, n=6)
+        space = build_fem_space(6, np.pi)
         w0 = lambda x, y: np.sin(x) * np.sin(2 * y)  # noqa: E731
-        _, traj1, _ = run_fem_null_control(params, lambda x, y: 0.0 * x, w0)
-        _, traj2, _ = run_fem_null_control(
-            params, lambda x, y: 0.0 * x, lambda x, y: 2.0 * w0(x, y))
-        np.testing.assert_allclose(traj2.controls, 2.0 * traj1.controls,
-                                   atol=1e-10 * np.abs(traj1.controls).max())
+        _, u1, _ = run_fem_null_control(space, 0.2, RHO, 1.0, lambda x, y: 0.0 * x, w0)
+        _, u2, _ = run_fem_null_control(
+            space, 0.2, RHO, 1.0, lambda x, y: 0.0 * x, lambda x, y: 2.0 * w0(x, y))
+        np.testing.assert_allclose(u2, 2.0 * u1, atol=1e-10 * np.abs(u1).max())
 
 
 class TestHomogeneousConvergence:

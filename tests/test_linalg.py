@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
-from platenull.fem import (FemSpace, TriMesh, assemble_mass, assemble_stiffness,
-                           build_fem_space, build_structured_mesh)
+from platenull.fem import FemSpace, TriMesh, assemble, build_fem_space, build_structured_mesh
 from platenull.linalg import BlockSolver, SineSolver, SpdFactorization, SplitStepSolver
 
 
@@ -42,9 +41,7 @@ class TestSolveSpd:
         rng = np.random.default_rng(n)
         mesh = build_structured_mesh(n, np.pi)
         keep = mesh.interior
-        mats = [build_dn(FdGrid(n=n, a=np.pi)),
-                assemble_mass(mesh)[keep][:, keep],
-                assemble_stiffness(mesh)[keep][:, keep]]
+        mats = [build_dn(FdGrid(n=n, a=np.pi))] + [A[keep][:, keep] for A in assemble(mesh)]
         for A in mats:
             x = rng.standard_normal(A.shape[0])
             got = solve_spd(A, A @ x)

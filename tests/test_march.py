@@ -5,7 +5,9 @@ scheme's step matrix (or samples the closed-form twin) and evaluates
 
     u^{j+1} = -(rho v_h + w_h) f_T - K^{-1} B [(v_h^{j+2} - v_h^{j+1})/dt f_T + v_h^{j+1} f_T']
 
-at t_{j+1}, with (K, B) = (D, I) for FDM and (S, M) for FEM.
+at t_{j+1}, with (K, B) = (D, I) for FDM and (S, M) for FEM.  The march and
+both one-horizon drivers reject a horizon T that is not a finite positive
+multiple (>= 2) of dt.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from platenull import fdm, fem
 from platenull.bench import SweepConfig, resolve_initial_data, run_single
 from platenull.control import f_weight, f_weight_prime
+from platenull.march import march
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -74,11 +77,37 @@ CASES = [(scheme, twin, n) for scheme in ("fdm", "fem")
 def test_emitted_control_matches_dense_recipe(scheme, twin, n):
     config = SweepConfig(scheme=scheme, n=n, rho=RHO, side=math.pi, dt=DT, t_list=(T,),
                          init=DATA if twin == "discrete" else "test-problem", twin=twin)
-    _, traj, _ = run_single(config, T)
+    _, controls, _ = run_single(config, T)
     want = reference_controls(config)
-    assert traj.controls.shape == want.shape
+    assert controls.shape == want.shape
     scale = np.max(np.abs(want))
-    assert np.max(np.abs(traj.controls - want)) <= 1e-10 * scale
+    assert np.max(np.abs(controls - want)) <= 1e-10 * scale
     # the comparison resolves the f_T' term: dropping it misses by far more
     without = reference_controls(config, with_f_prime=False)
     assert np.max(np.abs(without - want)) >= 1e-3 * scale
+
+
+ZERO = lambda x, y: 0.0 * x  # noqa: E731
+RUNS = {
+    "march": lambda T: march(fdm.fdm_scheme(fdm.FdGrid(n=4, a=math.pi), DT, RHO),
+                             np.zeros(16), np.ones(16), [T]),
+    "fdm": lambda T: fdm.run_fdm_null_control(fdm.FdGrid(n=4, a=math.pi), DT, RHO, T,
+                                              ZERO, ZERO),
+    "fem": lambda T: fem.run_fem_null_control(fem.build_fem_space(4, math.pi), DT, RHO, T,
+                                              ZERO, ZERO),
+}
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_rejects_non_finite_or_non_positive_horizon(run, horizon):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        run(horizon)
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS.keys())
+@pytest.mark.parametrize("horizon", [DT, 2.5 * DT])
+def test_rejects_horizon_off_the_step_grid(run, horizon):
+    # a horizon needs at least two steps and must land on the step grid
+    with pytest.raises(ValueError, match="integer multiple"):
+        run(horizon)
