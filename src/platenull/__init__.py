@@ -11,9 +11,10 @@ convergence and small-horizon blow-up benchmarks.
 
 from .core import KalmanDiagnostics, RunReport, StatePair, energy, rate_sequence
 from .control import f_weight, f_weight_prime, g_vector, kalman_check, mu_zero
-from .fdm import FdGrid, build_dn, dn_eigenvalue, run_fdm_null_control, sample_on_grid
-from .fem import (FemSpace, TriMesh, build_fem_space, build_structured_mesh,
-                  interpolate_nodal, load_mesh, run_fem_null_control)
+from .march import sample
+from .fdm import FdGrid, build_dn, dn_eigenvalue, run_fdm_null_control
+from .fem import (FemSpace, TriMesh, build_fem_space, build_structured_mesh, load_mesh,
+                  run_fem_null_control)
 from .spectral import Mode, evaluate_modal_sum, exact_test_solution, modal_evolve
 from .bench import (SweepConfig, SweepTable, emit_table, fit_loglog_slope,
                     run_property_checks, run_sweep)
@@ -25,10 +26,10 @@ __all__ = [
     "f_weight", "f_weight_prime", "mu_zero", "g_vector", "kalman_check",
     "Mode", "modal_evolve",
     "exact_test_solution", "evaluate_modal_sum",
-    "FdGrid", "build_dn", "dn_eigenvalue", "sample_on_grid",
-    "run_fdm_null_control",
+    "sample",
+    "FdGrid", "build_dn", "dn_eigenvalue", "run_fdm_null_control",
     "TriMesh", "FemSpace", "build_structured_mesh", "build_fem_space",
-    "load_mesh", "interpolate_nodal", "run_fem_null_control",
+    "load_mesh", "run_fem_null_control",
     "SweepConfig", "SweepTable", "run_sweep", "emit_table", "fit_loglog_slope",
     "run_property_checks",
 ]

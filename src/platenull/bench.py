@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from . import fdm, fem
 from .control import f_weight, kalman_check
 from .core import StatePair, check_finite_positive, energy, rate_sequence
-from .march import march
+from .march import march, sample
 from .spectral import exact_test_solution
 
 __all__ = [
@@ -164,11 +164,15 @@ class SweepConfig:
     init: str = TEST_PROBLEM
     twin: str = "discrete"       # "discrete" | "exact" (closed-form trajectory)
     weighted: bool = False       # FDM only: h-weighted discrete-L2 norms
-    mesh_path: str | None = None
+    mesh_path: str | None = None  # FEM only
 
     def __post_init__(self) -> None:
         if self.scheme not in ("fdm", "fem"):
             raise ValueError(f"scheme must be 'fdm' or 'fem', got {self.scheme!r}")
+        if self.mesh_path is not None and self.scheme != "fem":
+            raise ValueError("a mesh file applies only to the fem scheme")
+        if self.weighted and self.scheme != "fdm":
+            raise ValueError("weighted norms apply only to the fdm scheme")
         for name in ("rho", "side", "dt"):
             check_finite_positive(name, getattr(self, name))
         if not self.t_list or not all(math.isfinite(T) and T > 0 for T in self.t_list):
@@ -205,21 +209,18 @@ def _discretize(config: SweepConfig):
     """(scheme, v0, w0, twin) of the configured space, sampled once per sweep."""
     v0, w0 = resolve_initial_data(config.init)
     if config.scheme == "fdm":
-        grid = fdm.FdGrid(n=config.n, a=config.side)
-        x, y = grid.points()
-        scheme = fdm.fdm_scheme(grid, config.dt, config.rho, weighted=config.weighted)
-        v, w = fdm.sample_on_grid(v0, grid), fdm.sample_on_grid(w0, grid)
+        space = fdm.FdGrid(n=config.n, a=config.side)
+        scheme = fdm.fdm_scheme(space, config.dt, config.rho, weighted=config.weighted)
     else:
         mesh = fem.load_mesh(config.mesh_path) if config.mesh_path else \
             fem.build_structured_mesh(config.n, config.side)
         space = fem.FemSpace.from_mesh(mesh)
-        x, y = space.nodes().T
         scheme = fem.fem_scheme(space, config.dt, config.rho)
-        v, w = fem.interpolate_nodal(v0, space), fem.interpolate_nodal(w0, space)
+    x, y = space.points()
     twin = config.twin
     if twin == "exact":
         twin = lambda t: exact_test_solution(x, y, t)  # noqa: E731
-    return scheme, v, w, twin
+    return scheme, sample(v0, x, y), sample(w0, x, y), twin
 
 
 def run_single(config: SweepConfig, T: float):

@@ -12,7 +12,9 @@ One implicit time step of the coupled system solves
     w+ + dt*D (v+ + rho w+) = dt*u + w,
 
 by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD and is
-factored once per sweep, for the run loop in :mod:`platenull.march`.
+factored once per sweep, for the run loop in :mod:`platenull.march`.  D
+itself is never factored: the sine transform diagonalizes it, so its
+solves in the control go through :class:`platenull.linalg.SineSolver`.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step
-from .linalg import SpdFactorization
-from .march import InitialDatum, Scheme, TwinSource, march
+from .linalg import SineSolver, SpdFactorization
+from .march import InitialDatum, Scheme, TwinSource, march, sample
 
 __all__ = [
     "FdGrid",
     "build_dn",
     "dn_eigenvalue",
     "dn_eigenvalues",
-    "sample_on_grid",
     "FdmStepper",
     "fdm_control_at_step",
     "fdm_scheme",
@@ -90,8 +91,7 @@ def dn_eigenvalue(i: int, j: int, grid: FdGrid) -> float:
     """
     if not (1 <= i <= grid.n and 1 <= j <= grid.n):
         raise IndexError(f"(i, j) = ({i}, {j}) outside 1..{grid.n}")
-    k = math.pi / (grid.n + 1)
-    return (4.0 - 2.0 * (math.cos(i * k) + math.cos(j * k))) / grid.h**2
+    return float(dn_eigenvalues(grid)[j - 1, i - 1])
 
 
 def dn_eigenvalues(grid: FdGrid) -> np.ndarray:
@@ -101,16 +101,6 @@ def dn_eigenvalues(grid: FdGrid) -> np.ndarray:
     """
     c = np.cos(np.arange(1, grid.n + 1) * (math.pi / (grid.n + 1)))
     return (4.0 - 2.0 * (c[:, None] + c[None, :])) / grid.h**2
-
-
-def sample_on_grid(f: InitialDatum, grid: FdGrid) -> np.ndarray:
-    """Sample f(x, y) at the interior points in flat grid order.
-
-    Numpy warnings are off: a non-finite sample is reported by the march.
-    """
-    x, y = grid.points()
-    with np.errstate(all="ignore"):
-        return np.asarray(f(x, y), dtype=float) + np.zeros(grid.N)
 
 
 class FdmStepper:
@@ -156,7 +146,7 @@ def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -
     dn = build_dn(grid)
     weight = grid.h**2 if weighted else 1.0
     return Scheme(stepper=FdmStepper(dn, dt, rho),
-                  mu_basis=SpdFactorization(dn.tocsc()).solve,
+                  mu_basis=SineSolver(dn, dn_eigenvalues(grid)).solve,
                   sq_norms=lambda X: weight * euclidean_sq(X))
 
 
@@ -171,5 +161,6 @@ def run_fdm_null_control(grid: FdGrid, dt: float, rho: float, T: float,
     to h-weighted discrete-L2 norms for cross-scheme comparison.
     """
     scheme = fdm_scheme(grid, dt, rho, weighted=weighted)
-    return march(scheme, sample_on_grid(v0, grid), sample_on_grid(w0, grid), [T],
+    x, y = grid.points()
+    return march(scheme, sample(v0, x, y), sample(w0, x, y), [T],
                  twin=twin, keep_controls=True)[0]

@@ -32,7 +32,7 @@ from .control import g_vector, mu_zero
 from .core import RunReport, StatePair, check_finite_positive, warn_coarse_step
 from .fdm import FdGrid, build_dn, dn_eigenvalues
 from .linalg import SineSolver, SpdFactorization, SplitStepSolver
-from .march import InitialDatum, Scheme, TwinSource, march
+from .march import InitialDatum, Scheme, TwinSource, march, sample
 
 __all__ = [
     "TriMesh",
@@ -40,7 +40,6 @@ __all__ = [
     "load_mesh",
     "assemble",
     "FemSpace",
-    "interpolate_nodal",
     "FemStepper",
     "fem_control_at_step",
     "make_stiffness_solver",
@@ -66,6 +65,11 @@ class TriMesh:
         if self.triangles.size and not (
                 0 <= self.triangles.min() and self.triangles.max() < len(self.vertices)):
             raise ValueError(f"triangle vertex indices must lie in [0, {len(self.vertices)})")
+        used = np.zeros(len(self.vertices), dtype=bool)
+        used[self.triangles] = True
+        unused = np.flatnonzero(~(used | self.boundary))
+        if unused.size:  # its row of M and S would be zero
+            raise ValueError(f"interior vertex {unused[0]} belongs to no triangle")
         if not np.all(np.isfinite(self.vertices)):
             raise ValueError("vertex coordinates must be finite")
         if np.any(self.signed_areas() <= 0):
@@ -183,9 +187,10 @@ class FemSpace:
     def N(self) -> int:
         return len(self.interior)
 
-    def nodes(self) -> np.ndarray:
-        """Coordinates of the interior nodes, (N, 2)."""
-        return self.mesh.vertices[self.interior]
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinate vectors (x, y) of the N interior nodes in coefficient order."""
+        x, y = self.mesh.vertices[self.interior].T
+        return x, y
 
     def mass_sq_norm(self, x: np.ndarray) -> float | np.ndarray:
         """Squared L2 norm of the function with interior coefficients x.
@@ -197,16 +202,6 @@ class FemSpace:
 
 def build_fem_space(n: int, a: float) -> FemSpace:
     return FemSpace.from_mesh(build_structured_mesh(n, a))
-
-
-def interpolate_nodal(f: InitialDatum, space: FemSpace) -> np.ndarray:
-    """Coefficients of the nodal interpolant: entry i = f at interior node i.
-
-    Numpy warnings are off: a non-finite value is reported by the march.
-    """
-    pts = space.nodes()
-    with np.errstate(all="ignore"):
-        return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float) + np.zeros(space.N)
 
 
 class FemStepper:
@@ -253,7 +248,7 @@ def make_stiffness_solver(space: FemSpace) -> SineSolver | SpdFactorization:
     a = float(space.mesh.vertices.max())
     if n * n == space.N and a > 0:
         grid = FdGrid(n=n, a=a)
-        on_grid = np.max(np.abs(space.nodes() - np.column_stack(grid.points()))) <= 1e-12 * a
+        on_grid = np.max(np.abs(np.subtract(space.points(), grid.points()))) <= 1e-12 * a
         if on_grid and (abs(space.S - grid.h**2 * build_dn(grid)).max()
                         <= 1e-12 * abs(space.S).max()):
             return SineSolver(space.S, grid.h**2 * dn_eigenvalues(grid))
@@ -278,5 +273,6 @@ def run_fem_null_control(space: FemSpace, dt: float, rho: float, T: float,
     measured in the mass-weighted L2 norm.
     """
     scheme = fem_scheme(space, dt, rho)
-    return march(scheme, interpolate_nodal(v0, space), interpolate_nodal(w0, space), [T],
+    x, y = space.points()
+    return march(scheme, sample(v0, x, y), sample(w0, x, y), [T],
                  twin=twin, keep_controls=True)[0]

@@ -24,10 +24,20 @@ import numpy as np
 from .control import f_weight, f_weight_prime
 from .core import RunReport, StatePair, check_finite_positive, energy
 
-__all__ = ["Scheme", "InitialDatum", "TwinSource", "steps_for", "march"]
+__all__ = ["Scheme", "InitialDatum", "sample", "TwinSource", "steps_for", "march"]
 
 # A function f(x, y) of the node coordinates.
 InitialDatum = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def sample(f: InitialDatum, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Values of f at the nodes (x, y), one float per node.
+
+    Numpy warnings are off: a non-finite sample is reported by the march.
+    """
+    with np.errstate(all="ignore"):
+        return np.asarray(f(x, y), dtype=float) + np.zeros(len(x))
+
 
 # "discrete" steps the homogeneous system with the run's own stepper; a
 # callable t -> (v_h, w_h) supplies samples of a known homogeneous solution.

@@ -26,7 +26,8 @@ from platenull.bench import (SweepConfig, fit_loglog_slope, run_property_checks,
                              run_sweep)
 from platenull.control import f_weight, f_weight_prime
 from platenull.core import StatePair, rate_sequence
-from platenull.fdm import FdGrid, FdmStepper, build_dn, sample_on_grid
+from platenull.fdm import FdGrid, FdmStepper, build_dn
+from platenull.march import sample
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -147,7 +148,7 @@ def test_criterion_2_fdm_fine_dt_reproduction():
     table = run_sweep(config)
     coarse = run_sweep(replace(config, dt=0.2, t_list=GROWING_T[:1]))
     # the FDM control norm is Euclidean over grid values: scale by the mode's
-    mode = sample_on_grid(lambda x, y: np.sin(2 * x) * np.sin(2 * y), FdGrid(n=32, a=SIDE))
+    mode = sample(lambda x, y: np.sin(2 * x) * np.sin(2 * y), *FdGrid(n=32, a=SIDE).points())
     u2_ref = _closed_form_unorm(GROWING_T[0]) * float(np.linalg.norm(mode))
     rates_ref = rate_sequence([_closed_form_unorm(T) for T in GROWING_T])
 
@@ -253,8 +254,8 @@ def _fdm_homogeneous_max_error(n: int, dt: float, t_end: float) -> float:
     grid = FdGrid(n=n, a=SIDE)
     x, y = grid.points()
     state = StatePair(v=np.zeros(grid.N),
-                      w=sample_on_grid(lambda x, y: 1.5 * np.sin(2 * x)
-                                       * np.sin(2 * y), grid))
+                      w=sample(lambda x, y: 1.5 * np.sin(2 * x)
+                               * np.sin(2 * y), *grid.points()))
     stepper = FdmStepper(build_dn(grid), dt, RHO)
     for _ in range(round(t_end / dt)):
         state = stepper.step(state)

@@ -10,7 +10,7 @@ import pytest
 
 import platenull
 from platenull.fdm import FdGrid, run_fdm_null_control
-from platenull.fem import build_fem_space, run_fem_null_control
+from platenull.fem import build_fem_space, build_structured_mesh, run_fem_null_control
 from platenull.bench import (ExpressionError, SweepConfig, SweepRow, SweepTable,
                              emit_table, fit_loglog_slope, loglog_data,
                              parse_expression, resolve_initial_data, run_single,
@@ -394,6 +394,34 @@ class TestCli:
         path.write_text("\n".join(["9 8"] + verts + tris) + "\n")
         code = main(["--scheme", "fem", "--mesh", str(path), "--dt", "0.25",
                      "--t-list", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+
+    def test_unused_interior_mesh_vertex_exit_code(self, tmp_path, capsys):
+        # the n = 3 structured mesh of (0, pi)^2 plus an interior vertex no triangle uses
+        mesh = build_structured_mesh(3, math.pi)
+        lines = [f"{len(mesh.vertices) + 1} {len(mesh.triangles)}"]
+        lines += [f"{x} {y} {int(b)}" for (x, y), b in zip(mesh.vertices, mesh.boundary)]
+        lines += ["1.0 1.0 0"] + [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+        path = tmp_path / "unused.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["--scheme", "fem", "--mesh", str(path), "--dt", "0.25",
+                     "--t-list", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+        assert "belongs to no triangle" in lines[0]
+
+    @pytest.mark.parametrize("flags", [["--scheme", "fdm", "--mesh", "/nonexistent"],
+                                       ["--scheme", "fem", "--weighted"]],
+                             ids=["fdm-mesh", "fem-weighted"])
+    def test_flag_of_the_other_scheme_exit_code(self, flags, capsys):
+        code = main(flags + ["--n", "3", "--dt", "0.1", "--t-list", "1"])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

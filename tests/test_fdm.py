@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from platenull.control import kalman_check
 from platenull.core import StatePair
 from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
-                           fdm_control_at_step, fdm_scheme, run_fdm_null_control,
-                           sample_on_grid)
-from platenull.linalg import BlockSolver, SpdFactorization
+                           fdm_control_at_step, fdm_scheme, run_fdm_null_control)
+from platenull.linalg import BlockSolver, SineSolver, SpdFactorization
+from platenull.march import Scheme, march, sample
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -111,9 +111,9 @@ class TestEigenvalues:
         for i, j in ((1, 1), (1, 2), (n, n)):
             if i > n or j > n:
                 continue
-            vec = sample_on_grid(
+            vec = sample(
                 lambda x, y, i=i, j=j: (2 / g.a) * np.sin(i * np.pi * x / g.a)
-                * np.sin(j * np.pi * y / g.a), g)
+                * np.sin(j * np.pi * y / g.a), *g.points())
             lam = dn_eigenvalue(i, j, g)
             np.testing.assert_allclose(D @ vec, lam * vec, atol=1e-10 * lam)
 
@@ -125,14 +125,14 @@ class TestEigenvalues:
 class TestSampleOnGrid:
     def test_zero_and_one(self):
         g = FdGrid(n=2, a=1.0)
-        np.testing.assert_array_equal(sample_on_grid(lambda x, y: 0.0 * x, g),
+        np.testing.assert_array_equal(sample(lambda x, y: 0.0 * x, *g.points()),
                                       np.zeros(4))
-        np.testing.assert_array_equal(sample_on_grid(lambda x, y: 1.0 + 0 * x, g),
+        np.testing.assert_array_equal(sample(lambda x, y: 1.0 + 0 * x, *g.points()),
                                       np.ones(4))
 
     def test_node_placement(self):
         g = FdGrid(n=3, a=np.pi)
-        vec = sample_on_grid(lambda x, y: np.sin(2 * x) * np.sin(2 * y), g)
+        vec = sample(lambda x, y: np.sin(2 * x) * np.sin(2 * y), *g.points())
         # x_2 = pi/2, so sin(2 x_2) = sin(pi) = 0
         assert vec[g.index(2, 2)] == pytest.approx(0.0, abs=1e-15)
         assert vec[g.index(1, 1)] == pytest.approx(math.sin(math.pi / 2) ** 2, rel=1e-14)
@@ -164,7 +164,7 @@ class TestSteps:
     def test_single_mode_invariance(self):
         g = FdGrid(n=8, a=np.pi)
         dn = build_dn(g)
-        phi = sample_on_grid(lambda x, y: np.sin(2 * x) * np.sin(2 * y), g)
+        phi = sample(lambda x, y: np.sin(2 * x) * np.sin(2 * y), *g.points())
         out = FdmStepper(dn, 0.05, RHO).step(StatePair(v=np.zeros(g.N), w=phi))
         for comp in (out.v, out.w):
             coef = (comp @ phi) / (phi @ phi)
@@ -342,10 +342,25 @@ class TestNullControlRun:
         monkeypatch.setattr("scipy.sparse.linalg.cg", no_cg)
         grid = FdGrid(n=101, a=np.pi)
         scheme = fdm_scheme(grid, 0.25, RHO)
-        w0 = sample_on_grid(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), grid)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *grid.points())
         state = scheme.stepper.step(StatePair(v=np.zeros(grid.N), w=w0))
         z = scheme.mu_basis(state.v)
         assert np.all(np.isfinite(z)) and np.linalg.norm(z) > 0
+
+    @pytest.mark.parametrize("n,dt,horizons", [(32, 0.2, [2.0, 4.0]), (101, 0.25, [1.0])])
+    def test_sweep_matches_factored_stiffness(self, n, dt, horizons):
+        grid = FdGrid(n=n, a=np.pi)
+        v0 = np.zeros(grid.N)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *grid.points())
+        sine = fdm_scheme(grid, dt, RHO)
+        assert isinstance(sine.mu_basis.__self__, SineSolver)
+        factored = SpdFactorization(build_dn(grid).tocsc())
+        sparse = Scheme(stepper=sine.stepper, mu_basis=factored.solve, sq_norms=sine.sq_norms)
+        got = march(sine, v0, w0, horizons)
+        want = march(sparse, v0, w0, horizons)
+        for (r, _, _), (ref, _, _) in zip(got, want):
+            assert r.control_norm == pytest.approx(ref.control_norm, rel=1e-12)
+            assert r.terminal_energy == pytest.approx(ref.terminal_energy, rel=1e-12)
 
 
 class TestHomogeneousConvergence:

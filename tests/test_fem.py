@@ -9,10 +9,9 @@ from platenull.core import StatePair
 from platenull.fdm import FdGrid, build_dn
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble, build_fem_space,
                            build_structured_mesh, fem_control_at_step, fem_scheme,
-                           interpolate_nodal, load_mesh, make_stiffness_solver,
-                           run_fem_null_control)
+                           load_mesh, make_stiffness_solver, run_fem_null_control)
 from platenull.linalg import SineSolver, SpdFactorization
-from platenull.march import Scheme, march
+from platenull.march import Scheme, march, sample
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -58,6 +57,17 @@ class TestStructuredMesh:
         with pytest.raises(ValueError, match=r"\[0, 4\)"):
             TriMesh(vertices=verts, triangles=np.array([[0, 1, 2], [0, 2, -1]]),
                     boundary=np.ones(4, dtype=bool))
+
+    def test_rejects_unused_interior_vertex(self):
+        mesh = build_structured_mesh(3, np.pi)
+        verts = np.vstack([mesh.vertices, [1.0, 1.0]])
+        with pytest.raises(ValueError, match="interior vertex 25 belongs to no triangle"):
+            TriMesh(vertices=verts, triangles=mesh.triangles,
+                    boundary=np.append(mesh.boundary, False))
+        # an unused boundary vertex is eliminated with the other boundary vertices
+        space = FemSpace.from_mesh(TriMesh(vertices=verts, triangles=mesh.triangles,
+                                           boundary=np.append(mesh.boundary, True)))
+        assert space.N == 9
 
     def test_space_needs_an_interior_vertex(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -139,14 +149,14 @@ class TestInterpolation:
     def test_zero(self):
         space = build_fem_space(3, np.pi)
         np.testing.assert_array_equal(
-            interpolate_nodal(lambda x, y: 0.0 * x, space), np.zeros(space.N))
+            sample(lambda x, y: 0.0 * x, *space.points()), np.zeros(space.N))
 
     def test_vanishing_on_nodes(self):
         # nonzero function whose interior nodal values are all zero
         n = 4
         space = build_fem_space(n, np.pi)
         f = lambda x, y: np.sin((n + 1) * x)  # noqa: E731
-        np.testing.assert_allclose(interpolate_nodal(f, space),
+        np.testing.assert_allclose(sample(f, *space.points()),
                                    np.zeros(space.N), atol=1e-12)
 
     def test_interpolant_l2_norm_converges(self):
@@ -154,8 +164,7 @@ class TestInterpolation:
         errs = []
         for n in (8, 16, 32):
             space = build_fem_space(n, np.pi)
-            coef = interpolate_nodal(lambda x, y: np.sin(2 * x) * np.sin(2 * y),
-                                     space)
+            coef = sample(lambda x, y: np.sin(2 * x) * np.sin(2 * y), *space.points())
             errs.append(abs(math.sqrt(space.mass_sq_norm(coef)) - math.pi / 2))
         assert errs[0] > errs[1] > errs[2]
         assert errs[-1] <= (np.pi / 33) ** 2 * 10
@@ -212,7 +221,7 @@ class TestSteps:
 
     def test_controlled_step_forcing_sign(self):
         # from rest, one step under u >= 0 pushes w upward
-        u = interpolate_nodal(lambda x, y: np.sin(x) * np.sin(y), self.space)
+        u = sample(lambda x, y: np.sin(x) * np.sin(y), *self.space.points())
         z = np.zeros(self.space.N)
         out = FemStepper(self.space, self.dt, RHO).step(StatePair(v=z, w=z), u)
         assert (u @ (self.space.M @ out.w)) > 0
@@ -244,7 +253,7 @@ class TestControlAtStep:
         # S and M share the sine mode only approximately; collinearity O(h^2)
         n = 16
         space = build_fem_space(n, np.pi)
-        phi = interpolate_nodal(lambda x, y: np.sin(2 * x) * np.sin(2 * y), space)
+        phi = sample(lambda x, y: np.sin(2 * x) * np.sin(2 * y), *space.points())
         u = fem_control_at_step(phi * 0.9, phi, 0.5 * phi, 1.0, 0.1, 2.0, RHO, space)
         coef = (u @ phi) / (phi @ phi)
         residual = np.linalg.norm(u - coef * phi) / np.linalg.norm(u)
@@ -263,14 +272,13 @@ class TestNullControlRun:
     @pytest.mark.parametrize("twin", ["discrete", "exact"])
     def test_steers_benchmark_datum_down(self, twin):
         space = build_fem_space(8, np.pi)
-        pts = space.nodes()
+        x, y = space.points()
         twin_arg = twin if twin == "discrete" else \
-            (lambda t: exact_test_solution(pts[:, 0], pts[:, 1], t))
+            (lambda t: exact_test_solution(x, y, t))
         report, _, _ = run_fem_null_control(
             space, 0.2, RHO, 2.0, lambda x, y: 0.0 * x,
             lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), twin=twin_arg)
-        w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y),
-                               space)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *space.points())
         initial = space.mass_sq_norm(w0)
         assert report.terminal_energy <= 1e-2 * initial
         assert report.control_norm > 0
@@ -292,13 +300,11 @@ class TestHomogeneousConvergence:
             space = build_fem_space(n, np.pi)
             state = StatePair(
                 v=np.zeros(space.N),
-                w=interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y),
-                                    space))
+                w=sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *space.points()))
             stepper = FemStepper(space, dt, RHO)
             for _ in range(round(1.0 / dt)):
                 state = stepper.step(state)
-            pts = space.nodes()
-            ve, we = exact_test_solution(pts[:, 0], pts[:, 1], 1.0)
+            ve, we = exact_test_solution(*space.points(), 1.0)
             errs.append(math.sqrt(space.mass_sq_norm(state.v - ve)
                                   + space.mass_sq_norm(state.w - we)))
         assert errs[0] > errs[1] > errs[2]
@@ -306,8 +312,7 @@ class TestHomogeneousConvergence:
     def test_first_order_in_time_at_fixed_mesh(self):
         # against the dt -> 0 limit on one mesh, the step error is O(dt)
         space = build_fem_space(12, np.pi)
-        w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y),
-                               space)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *space.points())
 
         def terminal(dt):
             state = StatePair(v=np.zeros(space.N), w=w0)
@@ -380,7 +385,7 @@ class TestStiffnessSolver:
     def test_sweep_matches_factored_stiffness(self):
         space = build_fem_space(57, np.pi)
         v0 = np.zeros(space.N)
-        w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), space)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *space.points())
         sine = fem_scheme(space, 0.2, RHO)
         factored = SpdFactorization(space.S.tocsc())
         sparse = Scheme(stepper=sine.stepper,
@@ -399,7 +404,7 @@ class TestSplitStep:
     def test_sweep_matches_block_march(self, use_block_step):
         space = build_fem_space(57, np.pi)
         v0 = np.zeros(space.N)
-        w0 = interpolate_nodal(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), space)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *space.points())
         got = march(fem_scheme(space, 0.2, RHO), v0, w0, [2.0, 4.0])
         use_block_step()
         want = march(fem_scheme(space, 0.2, RHO), v0, w0, [2.0, 4.0])

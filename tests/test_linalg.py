@@ -185,17 +185,21 @@ class TestMultiColumnSolve:
 
 
 class TestSineSolver:
-    """The structured-mesh stiffness S = h^2 D, solved by DST-I."""
+    """The structured-mesh stiffness S = h^2 D and the FDM matrix D, solved by DST-I."""
 
     @staticmethod
-    def solver(n):
+    def solver(scheme, n):
+        """(matrix, its sine solver, its eigenvalues over those of D)."""
         grid = FdGrid(n=n, a=np.pi)
+        if scheme == "fdm":  # as fdm_scheme builds it
+            return build_dn(grid), SineSolver(build_dn(grid), dn_eigenvalues(grid)), 1.0
         S = build_fem_space(n, np.pi).S
-        return S, SineSolver(S, grid.h**2 * dn_eigenvalues(grid))
+        return S, SineSolver(S, grid.h**2 * dn_eigenvalues(grid)), grid.h**2
 
-    @pytest.mark.parametrize("n", [57, 150])
-    def test_matches_factorization(self, n):
-        S, sine = self.solver(n)
+    @pytest.mark.parametrize("scheme,n", [("fem", 57), ("fem", 150), ("fdm", 32), ("fdm", 101)],
+                             ids=["57", "150", "fdm32", "fdm101"])
+    def test_matches_factorization(self, scheme, n):
+        S, sine, _ = self.solver(scheme, n)
         B = np.random.default_rng(n).standard_normal((n * n, 4))
         X = sine.solve(B)
         ref = SpdFactorization(S.tocsc()).solve(B)
@@ -203,13 +207,17 @@ class TestSineSolver:
         col = sine.solve(B[:, 1])
         assert np.linalg.norm(col - ref[:, 1]) <= 1e-12 * np.linalg.norm(ref[:, 1])
 
-    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (3, 7), (57, 1)])
-    def test_sampled_mode_is_an_eigenvector(self, p, q):
-        grid = FdGrid(n=57, a=np.pi)
-        _, sine = self.solver(57)
+    @pytest.mark.parametrize("scheme,n,p,q", [
+        ("fem", 57, 1, 1), ("fem", 57, 2, 2), ("fem", 57, 3, 7), ("fem", 57, 57, 1),
+        ("fdm", 32, 1, 1), ("fdm", 32, 2, 2), ("fdm", 101, 3, 7), ("fdm", 101, 101, 101),
+    ], ids=["1-1", "2-2", "3-7", "57-1", "fdm32-1-1", "fdm32-2-2", "fdm101-3-7",
+            "fdm101-101-101"])
+    def test_sampled_mode_is_an_eigenvector(self, scheme, n, p, q):
+        grid = FdGrid(n=n, a=np.pi)
+        _, sine, scale = self.solver(scheme, n)
         x, y = grid.points()
         phi = np.sin(p * x) * np.sin(q * y)
-        want = phi / (grid.h**2 * dn_eigenvalue(p, q, grid))
+        want = phi / (scale * dn_eigenvalue(p, q, grid))
         got = sine.solve(phi)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -221,7 +229,7 @@ class TestSineSolver:
                 assert lam[j - 1, i - 1] == pytest.approx(dn_eigenvalue(i, j, grid), rel=1e-14)
 
     def test_nan_column_raises(self):
-        _, sine = self.solver(8)
+        _, sine, _ = self.solver("fem", 8)
         B = np.random.default_rng(3).standard_normal((64, 3))
         B[5, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="backward error"):

@@ -35,7 +35,7 @@ def dense_space(scheme, n):
         grid = fdm.FdGrid(n=n, a=math.pi)
         return fdm.build_dn(grid).toarray(), np.eye(grid.N), np.column_stack(grid.points())
     space = fem.build_fem_space(n, math.pi)
-    return space.S.toarray(), space.M.toarray(), space.nodes()
+    return space.S.toarray(), space.M.toarray(), np.column_stack(space.points())
 
 
 def dense_twin(config, K, B, nodes):

@@ -152,7 +152,7 @@ class TestSchemesAgainstClosedForm:
     def test_fem_in_mass_norm(self, rho):
         def discretize(n, dt):
             space = build_fem_space(n, math.pi)
-            x, y = space.nodes().T
+            x, y = space.points()
             return x, y, FemStepper(space, dt, rho), space.mass_sq_norm
 
         errs = self.relative_errors(rho, discretize)
