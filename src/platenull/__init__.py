@@ -9,8 +9,9 @@ verify them against a closed-form spectral solution, and reproduce the
 convergence and small-horizon blow-up benchmarks.
 """
 
-from .core import KalmanDiagnostics, RunReport, StatePair, energy, rate_sequence
-from .control import f_weight, f_weight_prime, g_vector, kalman_check, mu_zero
+from .core import RunReport, StatePair, energy, rate_sequence
+from .control import (KalmanDiagnostics, f_weight, f_weight_prime, g_vector, kalman_check,
+                      mu_zero)
 from .march import sample
 from .fdm import FdGrid, build_dn, dn_eigenvalue, run_fdm_null_control
 from .fem import (FemSpace, TriMesh, build_fem_space, build_structured_mesh, load_mesh,

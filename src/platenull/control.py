@@ -13,11 +13,12 @@ here is a pure function of vectors, scalars and the (mass, stiffness) pair.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .core import KALMAN_DENSE_CAP, KalmanDiagnostics
-
 __all__ = [
+    "KalmanDiagnostics",
     "f_weight",
     "f_weight_prime",
     "mu_zero",
@@ -65,6 +66,24 @@ def g_vector(vh_next2: np.ndarray, vh_next: np.ndarray, dt: float,
         raise ValueError(f"dt must be positive, got {dt}")
     return ((vh_next2 - vh_next) / dt * f_weight(t_next, T)
             + vh_next * f_weight_prime(t_next, T))
+
+
+# The Kalman check builds dense 2N x 2N matrices up to N = KALMAN_DENSE_CAP**2 unknowns.
+KALMAN_DENSE_CAP = 24
+
+
+@dataclass(frozen=True)
+class KalmanDiagnostics:
+    """Result of the controllability check on one discretization."""
+
+    dim: int                  # state dimension 2N
+    rank: int                 # numerical rank of the Kalman matrix
+    identity_error: float     # max |K K^{-1} - I| with the closed-form inverse
+    operator_inv_norm: float  # ||S^{-1} M||_2, which is ||D^{-1}||_2 for FDM
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.dim
 
 
 def kalman_check(M, S, rho: float) -> KalmanDiagnostics:

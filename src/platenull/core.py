@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "StatePair",
     "RunReport",
-    "KalmanDiagnostics",
-    "KALMAN_DENSE_CAP",
     "check_finite_positive",
     "warn_coarse_step",
     "energy",
@@ -54,26 +52,8 @@ class RunReport:
                 raise ValueError(f"{name} must be finite and nonnegative, got {x}")
 
 
-# The Kalman check builds dense 2N x 2N matrices up to N = KALMAN_DENSE_CAP**2 unknowns.
-KALMAN_DENSE_CAP = 24
-
-
-@dataclass(frozen=True)
-class KalmanDiagnostics:
-    """Result of the controllability check on one discretization."""
-
-    dim: int                  # state dimension 2N
-    rank: int                 # numerical rank of the Kalman matrix
-    identity_error: float     # max |K K^{-1} - I| with the closed-form inverse
-    operator_inv_norm: float  # ||S^{-1} M||_2, which is ||D^{-1}||_2 for FDM
-
-    @property
-    def full_rank(self) -> bool:
-        return self.rank == self.dim
-
-
 def check_finite_positive(name: str, value: float) -> None:
-    """The one rule for rho, dt, the side and T: raise ValueError unless 0 < value < inf."""
+    """One rule for rho, dt, the side, h^2 and T: raise ValueError unless 0 < value < inf."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
@@ -116,6 +96,6 @@ def rate_sequence(values: Sequence[float]) -> list[float]:
     if len(values) < 2:
         raise ValueError("need at least two values to form rates")
     vals = np.asarray(values, dtype=float)
-    if np.any(vals <= 0):
-        raise ValueError("rates are only defined for positive values")
+    if not np.all((vals > 0) & np.isfinite(vals)):
+        raise ValueError("rates are only defined for finite positive values")
     return [float(np.log2(vals[k] / vals[k + 1])) for k in range(len(vals) - 1)]

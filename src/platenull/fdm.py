@@ -52,6 +52,9 @@ class FdGrid:
         if self.n < 1:
             raise ValueError(f"need n >= 1 interior points, got {self.n}")
         check_finite_positive("a", self.a)
+        h2 = self.h * self.h  # not h**2: a float power raises on overflow
+        check_finite_positive("h^2", h2)
+        check_finite_positive("1/h^2", 1.0 / h2)
 
     @property
     def h(self) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
-from .core import RunReport, StatePair, check_finite_positive, warn_coarse_step
+from .core import RunReport, StatePair, warn_coarse_step
 from .fdm import FdGrid, build_dn, dn_eigenvalues
 from .linalg import SineSolver, SpdFactorization, SplitStepSolver
 from .march import InitialDatum, Scheme, TwinSource, march, sample
@@ -94,7 +94,7 @@ def build_structured_mesh(n: int, a: float) -> TriMesh:
     """Diagonal split of the uniform (n+1) x (n+1) grid of (0, a)^2."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    check_finite_positive("a", a)
+    FdGrid(n=n, a=a)  # checks the side and the width a/(n+1) of the grid the mesh splits
     k = n + 2  # vertices per axis
     coords = np.linspace(0.0, a, k)
     X, Y = np.meshgrid(coords, coords, indexing="xy")
@@ -111,8 +111,9 @@ def build_structured_mesh(n: int, a: float) -> TriMesh:
 def load_mesh(path: str | Path) -> TriMesh:
     """Read the plain-text mesh format.
 
-    Line 1: ``nv nt``; then nv lines ``x y boundary_flag``; then nt lines
-    ``i j k`` with zero-based vertex indices.  ``#`` starts a comment.
+    Line 1: ``nv nt``; then nv lines ``x y boundary_flag`` with a flag of 0
+    or 1; then nt lines ``i j k`` with zero-based vertex indices.  Every line
+    after the first has exactly three fields.  ``#`` starts a comment.
     """
     lines = []
     for raw in Path(path).read_text().splitlines():
@@ -126,13 +127,18 @@ def load_mesh(path: str | Path) -> TriMesh:
         if len(lines) != 1 + nv + nt:
             raise ValueError(
                 f"expected {1 + nv + nt} content lines, found {len(lines)}")
-        vrows = [line.split() for line in lines[1:1 + nv]]
-        verts = np.array([[float(r[0]), float(r[1])] for r in vrows])
-        flags = np.array([int(r[2]) for r in vrows], dtype=bool)
-        tris = np.array([[int(t) for t in line.split()[:3]] for line in lines[1 + nv:]])
-    except (IndexError, ValueError) as exc:
+        rows = [line.split() for line in lines[1:]]
+        for row in rows:
+            if len(row) != 3:
+                raise ValueError(f"need exactly 3 fields per line, got {' '.join(row)!r}")
+        verts = np.array([[float(x), float(y)] for x, y, _ in rows[:nv]])
+        flags = [int(flag) for _, _, flag in rows[:nv]]
+        if not set(flags) <= {0, 1}:
+            raise ValueError("boundary flags must be 0 or 1")
+        tris = np.array([[int(t) for t in row] for row in rows[nv:]])
+    except ValueError as exc:
         raise ValueError(f"malformed mesh file {path}: {exc}") from exc
-    return TriMesh(vertices=verts, triangles=tris, boundary=flags)
+    return TriMesh(vertices=verts, triangles=tris, boundary=np.array(flags, dtype=bool))
 
 
 def _element_matrices(mesh: TriMesh):

@@ -231,6 +231,17 @@ class TestFitLoglogSlope:
         with pytest.raises(ValueError):
             fit_loglog_slope([(1.0, 1.0), (2.0, -1.0)])
 
+    @pytest.mark.parametrize("points", [
+        [(1.0, math.nan), (2.0, 1.0)], [(1.0, 1.0), (2.0, math.inf)],
+        [(math.inf, 1.0), (2.0, 1.0)], [(2.0, 1.0), (2.0, 3.0)], [(1.0, 1.0), (1.0, 2.0)],
+    ], ids=["nan-value", "inf-value", "inf-T", "one-T", "one-T-at-1"])
+    def test_rejects_non_finite_or_single_t(self, points, capfd):
+        # a LinAlgError is a ValueError too, but the CLI reports it as a solver failure
+        with pytest.raises(ValueError) as excinfo:
+            fit_loglog_slope(points)
+        assert excinfo.type is ValueError
+        assert capfd.readouterr().err == ""
+
 
 def tiny_table():
     cfg = SweepConfig(scheme="fdm", n=4, rho=2.5, side=math.pi, dt=0.25,
@@ -277,6 +288,15 @@ class TestEmission:
         assert float(cols[1]) == pytest.approx(4.7354e-06)
         assert float(cols[2]) == pytest.approx(2.1344)
         assert float(cols[3]) == pytest.approx(2.0**-1.5)
+
+
+def only_config_error(capsys) -> str:
+    """The one line a run printed, on stderr; it must be a configuration error."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+    return lines[0]
 
 
 class TestCli:
@@ -360,10 +380,7 @@ class TestCli:
     def test_rejected_init_exit_code(self, expr, capsys):
         code = main(["--n", "4", "--dt", "0.25", "--t-list", "1", "--init", f"0;{expr}"])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+        only_config_error(capsys)
 
     @pytest.mark.parametrize("expr", DEEP_OR_HUGE.values(), ids=DEEP_OR_HUGE.keys())
     def test_deep_or_huge_init_prints_only_the_error_line(self, expr):
@@ -395,10 +412,7 @@ class TestCli:
         code = main(["--scheme", "fem", "--mesh", str(path), "--dt", "0.25",
                      "--t-list", "1"])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+        only_config_error(capsys)
 
     def test_unused_interior_mesh_vertex_exit_code(self, tmp_path, capsys):
         # the n = 3 structured mesh of (0, pi)^2 plus an interior vertex no triangle uses
@@ -411,11 +425,7 @@ class TestCli:
         code = main(["--scheme", "fem", "--mesh", str(path), "--dt", "0.25",
                      "--t-list", "1"])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
-        assert "belongs to no triangle" in lines[0]
+        assert "belongs to no triangle" in only_config_error(capsys)
 
     @pytest.mark.parametrize("flags", [["--scheme", "fdm", "--mesh", "/nonexistent"],
                                        ["--scheme", "fem", "--weighted"]],
@@ -423,10 +433,23 @@ class TestCli:
     def test_flag_of_the_other_scheme_exit_code(self, flags, capsys):
         code = main(flags + ["--n", "3", "--dt", "0.1", "--t-list", "1"])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("configuration error:"), captured.err
+        only_config_error(capsys)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", ["fdm", "fem"])
+    @pytest.mark.parametrize("side", ["1e-200", "1e-160", "1e160", "1e200"])
+    def test_extreme_side_exit_code(self, scheme, side, capsys):
+        # h^2 or 1/h^2 overflows or underflows, h = side / (n + 1)
+        code = main(["--scheme", scheme, "--n", "4", "--side", side, "--dt", "0.1",
+                     "--t-list", "1"])
+        assert code == 2
+        assert "h^2" in only_config_error(capsys)
+
+    def test_malformed_mesh_line_exit_code(self, malformed_mesh, capsys):
+        code = main(["--scheme", "fem", "--mesh", str(malformed_mesh), "--dt", "0.25",
+                     "--t-list", "1"])
+        assert code == 2
+        assert "malformed mesh file" in only_config_error(capsys)
 
     def test_out_of_range_mesh_index_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -61,6 +61,14 @@ class TestRateSequence:
         with pytest.raises(ValueError):
             rate_sequence([1.0])
 
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf]],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_rejects_non_finite(self, values, capfd):
+        with pytest.raises(ValueError, match="finite positive") as excinfo:
+            rate_sequence(values)
+        assert excinfo.type is ValueError
+        assert capfd.readouterr().err == ""
+
     @given(st.floats(min_value=1e-6, max_value=1e6),
            st.floats(min_value=1e-3, max_value=1e3))
     def test_single_ratio_roundtrip(self, base, ratio):

@@ -436,3 +436,7 @@ class TestMeshIO:
         path.write_text("")
         with pytest.raises(ValueError):
             load_mesh(path)
+
+    def test_rejects_malformed_lines(self, malformed_mesh):
+        with pytest.raises(ValueError, match="malformed mesh file"):
+            load_mesh(malformed_mesh)
