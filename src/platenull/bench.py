@@ -187,6 +187,9 @@ class SweepConfig:
                 raise ValueError("the closed-form twin only exists for the test problem")
             if not (math.isclose(self.rho, 2.5) and math.isclose(self.side, math.pi)):
                 raise ValueError("the closed-form twin is pinned to rho=5/2, side=pi")
+            if self.mesh_path is not None:
+                raise ValueError("the closed-form twin needs the structured mesh of "
+                                 "(0, pi)^2, not a mesh file")
 
 
 @dataclass(frozen=True)
@@ -322,12 +325,13 @@ class PropertyResult:
     detail: str
 
 
-def run_property_checks(rho: float = 2.5, side: float = math.pi) -> list[PropertyResult]:
-    """Fast structural checks that need no table runs."""
+def run_property_checks() -> list[PropertyResult]:
+    """Fast structural checks that need no table runs, on the benchmark's rho and side."""
     # Imported here, its only use: quad's subpackage loads scipy.optimize and
     # scipy.spatial with it, about 0.15 s and 14 MiB that no table run needs.
     from scipy.integrate import quad
 
+    rho, side = 2.5, math.pi
     results = []
 
     def record(name, passed, detail):

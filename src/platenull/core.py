@@ -91,11 +91,16 @@ def rate_sequence(values: Sequence[float]) -> list[float]:
     """log2 ratios of consecutive values, the "rate" column of a T-doubling sweep.
 
     rate_k = log2(values_k / values_{k+1}); a geometric sequence with ratio
-    1/4 yields the constant rate 2.
+    1/4 yields the constant rate 2.  A quotient outside the normal float
+    range is taken as log2(values_k) - log2(values_{k+1}) instead.
     """
     if len(values) < 2:
         raise ValueError("need at least two values to form rates")
     vals = np.asarray(values, dtype=float)
     if not np.all((vals > 0) & np.isfinite(vals)):
         raise ValueError("rates are only defined for finite positive values")
-    return [float(np.log2(vals[k] / vals[k + 1])) for k in range(len(vals) - 1)]
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = vals[:-1] / vals[1:]
+    normal = (ratios >= np.finfo(float).tiny) & (ratios <= np.finfo(float).max)
+    return [float(np.log2(q) if ok else np.log2(a) - np.log2(b))
+            for q, ok, a, b in zip(ratios, normal, vals[:-1], vals[1:])]

@@ -155,15 +155,14 @@ def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -
 
 def run_fdm_null_control(grid: FdGrid, dt: float, rho: float, T: float,
                          v0: InitialDatum, w0: InitialDatum, *,
-                         twin: TwinSource = "discrete", weighted: bool = False,
+                         twin: TwinSource = "discrete",
                          ) -> tuple[RunReport, np.ndarray, StatePair]:
     """Steer the sampled initial data toward zero over [0, T]: one horizon of the march.
 
     Reports the terminal energy and the control norm
-    (dt * sum ||u^{j+1}||^2)^(1/2); ``weighted`` switches both from Euclidean
-    to h-weighted discrete-L2 norms for cross-scheme comparison.
+    (dt * sum ||u^{j+1}||^2)^(1/2) in Euclidean norms.
     """
-    scheme = fdm_scheme(grid, dt, rho, weighted=weighted)
+    scheme = fdm_scheme(grid, dt, rho)
     x, y = grid.points()
     return march(scheme, sample(v0, x, y), sample(w0, x, y), [T],
                  twin=twin, keep_controls=True)[0]

@@ -246,17 +246,15 @@ def fem_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.n
 def make_stiffness_solver(space: FemSpace) -> SineSolver | SpdFactorization:
     """Solver for S: sine transforms on the structured mesh, else a factorization.
 
-    The mesh counts as structured when the interior nodes are the points of
-    an FdGrid(n, a) in flat order and S equals h^2 times its 5-point matrix,
-    both to 1e-12 relative.
+    The mesh counts as structured when S equals h^2 times the 5-point matrix
+    of an n x n grid, to 1e-12 relative; SineSolver then checks every solve
+    against S itself.  h^2 D is the bare stencil for any h, and h is taken
+    from the span of the vertices, the side a of the structured mesh of (0, a)^2.
     """
     n = math.isqrt(space.N)
-    a = float(space.mesh.vertices.max())
-    if n * n == space.N and a > 0:
-        grid = FdGrid(n=n, a=a)
-        on_grid = np.max(np.abs(np.subtract(space.points(), grid.points()))) <= 1e-12 * a
-        if on_grid and (abs(space.S - grid.h**2 * build_dn(grid)).max()
-                        <= 1e-12 * abs(space.S).max()):
+    if n * n == space.N:
+        grid = FdGrid(n=n, a=float(np.ptp(space.mesh.vertices)))
+        if abs(space.S - grid.h**2 * build_dn(grid)).max() <= 1e-12 * abs(space.S).max():
             return SineSolver(space.S, grid.h**2 * dn_eigenvalues(grid))
     return SpdFactorization(space.S.tocsc())
 

@@ -283,6 +283,6 @@ def test_criterion_6_oracle_equivalence():
 
 
 def test_criterion_7_property_suite():
-    results = run_property_checks(rho=RHO, side=SIDE)
+    results = run_property_checks()
     clauses = [(r.name, r.passed, r.detail) for r in results]
     _verdict("criterion 7 (property suite)", clauses)

@@ -49,6 +49,15 @@ DIRECT_NUMPY = [
 ]
 
 
+def write_mesh(mesh, path):
+    """Write a mesh in the plain-text format; return the path."""
+    lines = [f"{len(mesh.vertices)} {len(mesh.triangles)}"]
+    lines += [f"{x:.17g} {y:.17g} {int(b)}" for (x, y), b in zip(mesh.vertices, mesh.boundary)]
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def run_cli_process(*args):
     """Run the CLI in a fresh interpreter, so numpy warnings reach stderr unfiltered."""
     env = {**os.environ, "PYTHONPATH": str(Path(platenull.__file__).parents[1])}
@@ -196,14 +205,7 @@ class TestRunSweep:
         assert all(r.unorm > 0 for r in table.rows)
 
     def test_fem_mesh_path_forwarding(self, tmp_path):
-        from platenull.fem import build_structured_mesh
-        mesh = build_structured_mesh(4, math.pi)
-        lines = [f"{len(mesh.vertices)} {len(mesh.triangles)}"]
-        lines += [f"{x:.17g} {y:.17g} {int(b)}"
-                  for (x, y), b in zip(mesh.vertices, mesh.boundary)]
-        lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
-        path = tmp_path / "mesh.txt"
-        path.write_text("\n".join(lines) + "\n")
+        path = write_mesh(build_structured_mesh(4, math.pi), tmp_path / "mesh.txt")
         direct = run_sweep(self.small_config(scheme="fem"))
         imported = run_sweep(self.small_config(scheme="fem",
                                                mesh_path=str(path)))
@@ -426,6 +428,14 @@ class TestCli:
                      "--t-list", "1"])
         assert code == 2
         assert "belongs to no triangle" in only_config_error(capsys)
+
+    def test_exact_twin_with_mesh_exit_code(self, tmp_path, capsys):
+        # the closed form solves the problem on (0, pi)^2; this mesh covers (0, 1)^2
+        path = write_mesh(build_structured_mesh(7, 1.0), tmp_path / "unit.mesh")
+        args = ["--scheme", "fem", "--mesh", str(path), "--dt", "0.1", "--t-list", "1,2"]
+        assert main(args + ["--twin", "exact"]) == 2
+        assert "closed-form twin" in only_config_error(capsys)
+        assert main(args + ["--twin", "discrete"]) == 0
 
     @pytest.mark.parametrize("flags", [["--scheme", "fdm", "--mesh", "/nonexistent"],
                                        ["--scheme", "fem", "--weighted"]],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -68,6 +70,12 @@ class TestRateSequence:
             rate_sequence(values)
         assert excinfo.type is ValueError
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values,sign", [([1e300, 1e-300], 1), ([1e-300, 1e300], -1)],
+                             ids=["quotient-overflows", "quotient-underflows"])
+    def test_quotient_outside_the_float_range(self, values, sign):
+        assert rate_sequence(values) == [pytest.approx(sign * 600 * math.log2(10), rel=1e-12)]
 
     @given(st.floats(min_value=1e-6, max_value=1e6),
            st.floats(min_value=1e-3, max_value=1e3))

@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from platenull.bench import SweepConfig, run_sweep
 from platenull.control import kalman_check
 from platenull.core import StatePair
 from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
                            fdm_control_at_step, fdm_scheme, run_fdm_null_control)
-from platenull.linalg import BlockSolver, SineSolver, SpdFactorization
+from platenull.linalg import SineSolver, SpdFactorization
 from platenull.march import Scheme, march, sample
 from platenull.spectral import exact_test_solution
 
@@ -139,28 +141,6 @@ class TestSampleOnGrid:
 
 
 class TestSteps:
-    def setup_method(self):
-        self.grid = FdGrid(n=6, a=np.pi)
-        self.dn = build_dn(self.grid)
-        self.dt = 0.1
-
-    def test_zero_fixed_point(self):
-        z = np.zeros(self.grid.N)
-        out = FdmStepper(self.dn, self.dt, RHO).step(StatePair(v=z, w=z))
-        np.testing.assert_array_equal(out.v, z)
-        np.testing.assert_array_equal(out.w, z)
-
-    def test_defining_equations_residual(self):
-        rng = np.random.default_rng(21)
-        s = StatePair(v=rng.standard_normal(self.grid.N),
-                      w=rng.standard_normal(self.grid.N))
-        out = FdmStepper(self.dn, self.dt, RHO).step(s)
-        r1 = out.v - self.dt * (self.dn @ out.w) - s.v
-        r2 = out.w + self.dt * (self.dn @ (out.v + RHO * out.w)) - s.w
-        scale = np.linalg.norm(np.concatenate([s.v, s.w]))
-        assert np.linalg.norm(r1) <= 1e-10 * scale
-        assert np.linalg.norm(r2) <= 1e-10 * scale
-
     def test_single_mode_invariance(self):
         g = FdGrid(n=8, a=np.pi)
         dn = build_dn(g)
@@ -169,48 +149,6 @@ class TestSteps:
         for comp in (out.v, out.w):
             coef = (comp @ phi) / (phi @ phi)
             np.testing.assert_allclose(comp, coef * phi, atol=1e-12)
-
-    def test_energy_nonincreasing(self):
-        rng = np.random.default_rng(22)
-        stepper = FdmStepper(self.dn, self.dt, RHO)
-        for _ in range(25):
-            s = StatePair(v=rng.standard_normal(self.grid.N),
-                          w=rng.standard_normal(self.grid.N))
-            out = stepper.step(s)
-            assert (out.v @ out.v + out.w @ out.w) <= (s.v @ s.v + s.w @ s.w)
-
-    def test_zero_control_matches_homogeneous_bitwise(self):
-        rng = np.random.default_rng(23)
-        s = StatePair(v=rng.standard_normal(self.grid.N),
-                      w=rng.standard_normal(self.grid.N))
-        stepper = FdmStepper(self.dn, self.dt, RHO)
-        hom = stepper.step(s)
-        ctl = stepper.step(s, np.zeros(self.grid.N))
-        np.testing.assert_array_equal(hom.v, ctl.v)
-        np.testing.assert_array_equal(hom.w, ctl.w)
-
-    @pytest.mark.parametrize("dt,rho", [
-        (0.0, RHO), (-0.1, RHO), (np.nan, RHO), (np.inf, RHO),
-        (0.1, 0.0), (0.1, -1.0), (0.1, np.nan), (0.1, np.inf),
-    ])
-    def test_rejects_nonpositive_or_nonfinite_dt_or_rho(self, dt, rho):
-        # ValueError, not the LinAlgError ("solver failure") a NaN factor would raise
-        with pytest.raises(ValueError, match="finite and positive") as caught:
-            FdmStepper(self.dn, dt, rho)
-        assert not isinstance(caught.value, np.linalg.LinAlgError)
-
-    def test_controlled_step_against_block_solver(self):
-        # one step from rest under u = e1, cross-checked with the generic solver
-        N = self.grid.N
-        u = np.zeros(N)
-        u[0] = 1.0
-        out = FdmStepper(self.dn, self.dt, RHO).step(
-            StatePair(v=np.zeros(N), w=np.zeros(N)), u)
-        eye = sp.identity(N, format="csr")
-        x1, x2 = BlockSolver(eye, -self.dt * self.dn, self.dt * self.dn,
-                             eye + RHO * self.dt * self.dn).solve(np.zeros(N), self.dt * u)
-        np.testing.assert_allclose(out.v, x1, atol=1e-12)
-        np.testing.assert_allclose(out.w, x2, atol=1e-12)
 
 
 class TestControlAtStep:
@@ -303,37 +241,13 @@ class TestNullControlRun:
         assert energies[0] / energies[1] >= 3.0
         assert energies[1] / energies[2] >= 3.0
 
-    def test_warns_outside_guaranteed_step_regime(self):
-        with pytest.warns(RuntimeWarning, match="1/rho"):  # dt = 1 >= 1/rho
-            run_fdm_null_control(FdGrid(n=4, a=np.pi), 1.0, RHO, 2.0,
-                                 lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
-
-    def test_zero_data_gives_zero_control(self):
-        report, controls, state = run_fdm_null_control(
-            FdGrid(n=4, a=np.pi), 0.25, RHO, 1.0, lambda x, y: 0.0 * x, lambda x, y: 0.0 * x)
-        assert report.terminal_energy == 0.0
-        assert report.control_norm == 0.0
-        np.testing.assert_array_equal(controls, np.zeros_like(controls))
-
     def test_weighted_norms_scale(self):
-        run = (FdGrid(n=4, a=np.pi), 0.25, RHO, 1.0, lambda x, y: 0.0 * x,
-               lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y))
-        plain, _, _ = run_fdm_null_control(*run)
-        weighted, _, _ = run_fdm_null_control(*run, weighted=True)
+        config = SweepConfig(scheme="fdm", n=4, rho=RHO, side=np.pi, dt=0.25, t_list=(1.0,))
+        (plain,) = run_sweep(config).rows
+        (weighted,) = run_sweep(replace(config, weighted=True)).rows
         h = np.pi / 5
-        assert weighted.terminal_energy == pytest.approx(
-            plain.terminal_energy * h**2, rel=1e-12)
-        assert weighted.control_norm == pytest.approx(
-            plain.control_norm * h, rel=1e-12)
-
-    def test_doubling_data_doubles_controls(self):
-        grid = FdGrid(n=6, a=np.pi)
-        w0 = lambda x, y: np.sin(x) * np.sin(2 * y)  # noqa: E731
-        _, u1, _ = run_fdm_null_control(grid, 0.2, RHO, 1.0, lambda x, y: 0.0 * x, w0)
-        _, u2, _ = run_fdm_null_control(
-            grid, 0.2, RHO, 1.0, lambda x, y: 0.0 * x, lambda x, y: 2.0 * w0(x, y))
-        np.testing.assert_allclose(u2, 2.0 * u1, atol=1e-10 * np.abs(u1).max())
-
+        assert weighted.energy == pytest.approx(plain.energy * h**2, rel=1e-12)
+        assert weighted.unorm == pytest.approx(plain.unorm * h, rel=1e-12)
 
     def test_large_grid_factors_directly(self, monkeypatch):
         # n = 101 (N = 10,201) used to fall over to CG
@@ -361,26 +275,6 @@ class TestNullControlRun:
         for (r, _, _), (ref, _, _) in zip(got, want):
             assert r.control_norm == pytest.approx(ref.control_norm, rel=1e-12)
             assert r.terminal_energy == pytest.approx(ref.terminal_energy, rel=1e-12)
-
-
-class TestHomogeneousConvergence:
-    def test_simultaneous_refinement_to_exact_solution(self):
-        # max-norm error at t = 1 shrinks as (n, dt) refine together
-        errs = []
-        for n, dt in ((8, 0.02), (16, 0.01), (32, 0.005)):
-            grid = FdGrid(n=n, a=np.pi)
-            dn = build_dn(grid)
-            x, y = grid.points()
-            v = np.zeros(grid.N)
-            w = 1.5 * np.sin(2 * x) * np.sin(2 * y)
-            stepper = FdmStepper(dn, dt, RHO)
-            state = StatePair(v=v, w=w)
-            for _ in range(round(1.0 / dt)):
-                state = stepper.step(state)
-            ve, we = exact_test_solution(x, y, 1.0)
-            errs.append(max(np.abs(state.v - ve).max(), np.abs(state.w - we).max()))
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[2] <= 5e-3
 
 
 class TestKalman:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
 from platenull.fem import FemSpace, TriMesh, assemble, build_fem_space, build_structured_mesh
@@ -182,6 +183,43 @@ class TestMultiColumnSolve:
         eye = sp.identity(3, format="csr")
         with pytest.raises(ValueError):
             BlockSolver(eye, eye, -eye, eye).solve(np.ones((3, 2)), np.ones((3, 3)))
+
+
+class TestBackwardErrorAtEveryScale:
+    """Each solver's check accepts its own solve and rejects a wrong one at any scale.
+
+    The wrong solvers factor twice the matrix, or divide by doubled
+    eigenvalues.  Squared entries overflow above about 1e154 and underflow
+    below about 1e-154, so a Euclidean-norm check passed any residual there.
+    """
+
+    SCALES = (1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e200, 1e300)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
+    @pytest.mark.parametrize("kind", ["spd", "sine", "block", "split"])
+    def test_check_holds_at_every_scale(self, kind, wrong, monkeypatch):
+        grid = FdGrid(n=8, a=np.pi)
+        D, eye = build_dn(grid), sp.identity(grid.N, format="csr")
+        dt, rho = 0.2, 2.5
+        if wrong:
+            splu = spla.splu
+            monkeypatch.setattr(spla, "splu", lambda A, **kw: splu(2 * A, **kw))
+        if kind == "spd":
+            solve = SpdFactorization(D).solve
+        elif kind == "sine":
+            solve = SineSolver(D, (2.0 if wrong else 1.0) * dn_eigenvalues(grid)).solve
+        else:
+            step = (BlockSolver(eye, -dt * D, dt * D, eye + rho * dt * D) if kind == "block"
+                    else SplitStepSolver(eye, D, dt, rho))
+            solve = lambda b: step.solve(b, b)  # noqa: E731
+        b = np.random.default_rng(8).standard_normal(grid.N)
+        for scale in self.SCALES:
+            if wrong:
+                with pytest.raises(np.linalg.LinAlgError, match="backward error"):
+                    solve(scale * b)
+            else:
+                solve(scale * b)
 
 
 class TestSineSolver:

@@ -131,41 +131,46 @@ class TestSchemesAgainstClosedForm:
     """Both implicit schemes converge to the modal solution for rho below, at and above 2.
 
     rho < 2 runs the split step's complex factors and rho = 2 its double root.
+    The benchmark datum (0, 1.5 sin 2x sin 2y) is one more mode, at its rho.
     The state error at t = 1/2 is measured relative to the initial state.
     """
 
-    MODE = Mode(m=1, n=2, alpha0=0.4 * math.pi / 2, beta0=-0.9 * math.pi / 2)
+    MIXED = Mode(m=1, n=2, alpha0=0.4 * math.pi / 2, beta0=-0.9 * math.pi / 2)
+    BENCHMARK = Mode(m=2, n=2, alpha0=0.0, beta0=1.5 * math.pi / 2)
+    CASES = pytest.mark.parametrize(
+        "rho,mode", [(1.5, MIXED), (2.0, MIXED), (2.5, MIXED), (RHO, BENCHMARK)],
+        ids=["1.5", "2.0", "2.5", "benchmark"])
 
-    def relative_errors(self, rho, discretize):
+    def relative_errors(self, rho, mode, discretize):
         errs = []
         for n, dt in ((8, 0.02), (16, 0.01), (32, 0.005)):
             x, y, stepper, sq_norm = discretize(n, dt)
-            state = StatePair(*evaluate_modal_sum([self.MODE], rho, x, y, 0.0))
+            state = StatePair(*evaluate_modal_sum([mode], rho, x, y, 0.0))
             initial = sq_norm(state.v) + sq_norm(state.w)
             for _ in range(round(0.5 / dt)):
                 state = stepper.step(state)
-            ve, we = evaluate_modal_sum([self.MODE], rho, x, y, 0.5)
+            ve, we = evaluate_modal_sum([mode], rho, x, y, 0.5)
             errs.append(math.sqrt((sq_norm(state.v - ve) + sq_norm(state.w - we)) / initial))
         return errs
 
-    @pytest.mark.parametrize("rho", [1.5, 2.0, 2.5])
-    def test_fem_in_mass_norm(self, rho):
+    @CASES
+    def test_fem_in_mass_norm(self, rho, mode):
         def discretize(n, dt):
             space = build_fem_space(n, math.pi)
             x, y = space.points()
             return x, y, FemStepper(space, dt, rho), space.mass_sq_norm
 
-        errs = self.relative_errors(rho, discretize)
+        errs = self.relative_errors(rho, mode, discretize)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 5e-3
 
-    @pytest.mark.parametrize("rho", [1.5, 2.0, 2.5])
-    def test_fdm_in_euclidean_norm(self, rho):
+    @CASES
+    def test_fdm_in_euclidean_norm(self, rho, mode):
         def discretize(n, dt):
             grid = FdGrid(n=n, a=math.pi)
             x, y = grid.points()
             return x, y, FdmStepper(build_dn(grid), dt, rho), euclidean_sq
 
-        errs = self.relative_errors(rho, discretize)
+        errs = self.relative_errors(rho, mode, discretize)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 5e-3
