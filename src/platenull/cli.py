@@ -29,7 +29,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="platenull",
         description="Reproduce the null-controller convergence and blow-up tables.")
     p.add_argument("--scheme", choices=("fdm", "fem"), default="fdm")
-    p.add_argument("--n", type=int, default=32, help="interior resolution per axis")
+    p.add_argument("--n", type=int, default=32,
+                   help="interior resolution per axis; the stiffness solve's sine transform "
+                        "costs O(n^3) per grid and was timed only up to n = 300")
     p.add_argument("--rho", type=float, default=2.5, help="damping coefficient")
     p.add_argument("--side", type=float, default=math.pi, help="domain side length")
     p.add_argument("--dt", type=float, default=0.2, help="time step")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,10 +26,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StatePair:
-    """Coefficients (v, w) at one time level: (N,) vectors, or (N, k) blocks of k states."""
+    """Coefficients (v, w) at one time level: (N,) vectors, or (N, k) blocks of k states.
+
+    ``msv`` is [M v; S v] (2N rows) when the FEM step that made the state
+    computed it for its check; the FEM step from this state reads it there.
+    """
 
     v: np.ndarray
     w: np.ndarray
+    msv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.v.shape != self.w.shape or self.v.ndim not in (1, 2):

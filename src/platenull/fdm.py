@@ -148,7 +148,7 @@ def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -
     """The march's view of the grid (K = D, B = I); norms h-weighted if ``weighted``."""
     dn = build_dn(grid)
     weight = grid.h**2 if weighted else 1.0
-    return Scheme(stepper=FdmStepper(dn, dt, rho),
+    return Scheme(stepper=FdmStepper(dn, dt, rho), mass=lambda v: v,
                   mu_basis=SineSolver(dn, dn_eigenvalues(grid)).solve,
                   sq_norms=lambda X: weight * euclidean_sq(X))
 

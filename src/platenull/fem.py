@@ -224,10 +224,23 @@ class FemStepper:
         self.rho = rho
 
     def step(self, state: StatePair, u: np.ndarray | None = None) -> StatePair:
+        """The next state, carrying [M v+; S v+] for the step after it.
+
+        The step takes [M v; S v] from ``state.msv``; given none, it
+        computes it.  A check that fails on a forcing M (w + dt u) that
+        overflowed is a ValueError, not a solver failure.
+        """
         M = self.space.M
         b2 = M @ state.w if u is None else M @ (state.w + self.dt * u)
-        v_next, w_next = self._solver.solve(state.v, b2)
-        return StatePair(v=v_next, w=w_next)
+        try:
+            v_next, w_next, msv_next = self._solver.solve(state.v, b2, state.msv)
+        except np.linalg.LinAlgError:
+            if np.all(np.isfinite(b2)):
+                raise
+            raise ValueError("the step's forcing M (w + dt u) overflows double precision: "
+                             "the mass matrix and the controls are too large at this "
+                             "scale") from None
+        return StatePair(v=v_next, w=w_next, msv=msv_next)
 
 
 def fem_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.ndarray,
@@ -263,7 +276,7 @@ def fem_scheme(space: FemSpace, dt: float, rho: float) -> Scheme:
     """The march's view of the space (K = S, B = M), with mass-weighted norms."""
     stepper = FemStepper(space, dt, rho)  # the step factors first, while little else is held
     stiffness = make_stiffness_solver(space)
-    return Scheme(stepper=stepper, mu_basis=lambda v: stiffness.solve(space.M @ v),
+    return Scheme(stepper=stepper, mass=lambda v: space.M @ v, mu_basis=stiffness.solve,
                   sq_norms=space.mass_sq_norm)
 
 

@@ -49,7 +49,8 @@ class Scheme:
     """What the march needs of one discretization at one dt."""
 
     stepper: object  # FdmStepper or FemStepper: dt, rho, step on (N,) or (N, k) blocks
-    mu_basis: Callable[[np.ndarray], np.ndarray]  # v -> K^{-1} B v
+    mass: Callable[[np.ndarray], np.ndarray]      # v -> B v
+    mu_basis: Callable[[np.ndarray], np.ndarray]  # B v -> K^{-1} B v
     sq_norms: Callable[[np.ndarray], np.ndarray]  # squared state norm of every column
 
 
@@ -60,6 +61,12 @@ def steps_for(T: float, dt: float) -> int:
     if abs(m * dt - T) > 1e-9 * T:
         raise ValueError(f"T = {T} is not an integer multiple (>= 2) of dt = {dt}")
     return m
+
+
+def _columns(state: StatePair, cols: int | slice) -> StatePair:
+    """The columns ``cols`` of a block state and of its carried product, as new C-order arrays."""
+    return StatePair(*(None if x is None else np.ascontiguousarray(x[:, cols])
+                       for x in (state.v, state.w, state.msv)))
 
 
 def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[float], *,
@@ -81,53 +88,62 @@ def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[flo
     T = np.array([horizons[c] for c in order], dtype=float)
     m = np.array([steps_for(Tc, dt) for Tc in T])
     N, K, M = len(v0), len(T), int(m[0])
+    # weights of step j (row) for horizon c (column); t_{m_c} is T_c, however m_c dt rounds
+    t = np.minimum(dt * np.arange(1, M + 1)[:, None], T)
+    f, fp = f_weight(t, T), f_weight_prime(t, T)
+
+    def basis(level: StatePair) -> np.ndarray:
+        """K^{-1} B v of a twin level, with B v from the step's carried product if any."""
+        return scheme.mu_basis(scheme.mass(level.v) if level.msv is None else level.msv[:N])
 
     if discrete:  # twin levels j + 1 (here) and j + 2 (ahead), for j = 0
         here = scheme.stepper.step(StatePair(v=v0, w=w0))
         ahead = scheme.stepper.step(here)
-        here, ahead = (here.v, here.w), (ahead.v, ahead.w)
     else:
-        here, ahead = twin(dt), twin(2 * dt)
-    z_here, z_ahead = scheme.mu_basis(here[0]), scheme.mu_basis(ahead[0])
+        here, ahead = (StatePair(*twin(level * dt)) for level in (1, 2))
+    z_here, z_ahead = basis(here), basis(ahead)
 
-    # columns: the riding twin (discrete only), then the horizons, longest
-    # first, so the horizons still running at step j are a prefix
+    # The running columns are the riding twin (discrete only), then the
+    # horizons still running, longest first.  They are held as C-contiguous
+    # blocks with their carried [M v; S v], which are re-packed only when a
+    # column stops running; a finished horizon's state moves to V_end, W_end.
     off = int(discrete)
-    V = np.empty((N, off + K), order="F")
-    W = np.empty((N, off + K), order="F")
-    V[:, off:], W[:, off:] = v0[:, None], w0[:, None]
+    V, W = (np.repeat(x[:, None], off + K, axis=1) for x in (v0, w0))
     if discrete:
-        V[:, 0], W[:, 0] = ahead
+        V[:, 0], W[:, 0] = ahead.v, ahead.w
+    state, held = StatePair(v=V, w=W), (0, off + K)
+    V_end, W_end = np.empty((N, K)), np.empty((N, K))
     sq_controls = np.zeros(K)
     kept = np.empty((K, M, N)) if keep_controls else None
 
     for j in range(M):
         k = int(np.count_nonzero(m > j))
-        t = np.minimum((j + 1) * dt, T[:k])  # t_{m_c} is T_c, however m_c dt rounds
-        f, fp = f_weight(t, T[:k]), f_weight_prime(t, T[:k])
-        vh, wh = here
-        U = np.zeros((N, off + k), order="F")
-        U[:, off:] = -(np.outer(rho * vh + wh + (z_ahead - z_here) / dt, f)
-                       + np.outer(z_here, fp))
-        sq_controls[:k] += scheme.sq_norms(U[:, off:])
-        if keep_controls:
-            kept[:k, j] = U[:, off:].T
         # the twin rides while a later step needs its level j + 3 <= M
-        lo = 0 if discrete and j + 3 <= M else off
-        hi = off + k
-        state = scheme.stepper.step(StatePair(v=V[:, lo:hi], w=W[:, lo:hi]), U[:, lo:])
-        V[:, lo:hi], W[:, lo:hi] = state.v, state.w
+        lo, hi = (0 if discrete and j + 3 <= M else off), off + k
+        if (lo, hi) != held:
+            V_end[:, hi - off:held[1] - off] = state.v[:, hi - held[0]:]
+            W_end[:, hi - off:held[1] - off] = state.w[:, hi - held[0]:]
+            state, held = _columns(state, slice(lo - held[0], hi - held[0])), (lo, hi)
+        U = -(np.outer(rho * here.v + here.w + (z_ahead - z_here) / dt, f[j, :k])
+              + np.outer(z_here, fp[j, :k]))
+        sq_controls[:k] += scheme.sq_norms(U)
+        if keep_controls:
+            kept[:k, j] = U.T
+        if lo < off:  # the riding twin steps under zero control
+            U = np.concatenate([np.zeros((N, 1)), U], axis=1)
+        state = scheme.stepper.step(state, U)
         here, z_here = ahead, z_ahead
         if j + 2 < M:  # level M + 1 would only meet f_T(T) = 0 at the last step
-            ahead = (V[:, 0].copy(), W[:, 0].copy()) if discrete else twin((j + 3) * dt)
-            z_ahead = scheme.mu_basis(ahead[0])
+            ahead = _columns(state, 0) if discrete else StatePair(*twin((j + 3) * dt))
+            z_ahead = basis(ahead)
+    V_end[:, :held[1] - off], W_end[:, :held[1] - off] = state.v, state.w
 
-    energies = energy(StatePair(v=V[:, off:], w=W[:, off:]), scheme.sq_norms)
+    energies = energy(StatePair(v=V_end, w=W_end), scheme.sq_norms)
     results: list = [None] * K
     for c, idx in enumerate(order):
         report = RunReport(terminal_energy=float(energies[c]),
                            control_norm=math.sqrt(dt * float(sq_controls[c])))
         controls = kept[c, :m[c]] if keep_controls else None
-        terminal = StatePair(v=V[:, off + c].copy(), w=W[:, off + c].copy())
+        terminal = StatePair(v=V_end[:, c].copy(), w=W_end[:, c].copy())
         results[idx] = (report, controls, terminal)
     return results

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import scipy.sparse as sp
 
 from platenull import fem
 from platenull.linalg import BlockSolver
@@ -10,11 +11,14 @@ class BlockStep:
     """The split step's interface on the 2N block LU of the same step matrix."""
 
     def __init__(self, M, S, dt, rho):
-        self._M = M
+        self._MS = sp.vstack([M, S], format="csr")
         self._solver = BlockSolver(M, -dt * S, dt * S, M + rho * dt * S)
 
-    def solve(self, v, b2):
-        return self._solver.solve(self._M @ v, b2)
+    def solve(self, v, b2, msv=None):
+        """(v+, w+, [M v+; S v+]); ``msv`` is the carried [M v; S v], else computed."""
+        Mv = (self._MS @ v if msv is None else msv)[:len(v)]
+        v_next, w_next = self._solver.solve(Mv, b2)
+        return v_next, w_next, self._MS @ v_next
 
 
 @pytest.fixture

@@ -455,6 +455,14 @@ class TestCli:
         assert code == 2
         assert "h^2" in only_config_error(capsys)
 
+    def test_overflowing_forcing_exit_code(self, capsys):
+        # at side 1e100 the mass entries reach 2e198 and the first controls 1e183,
+        # so the forcing M (w + dt u) of the first controlled step overflows
+        code = main(["--scheme", "fem", "--n", "4", "--side", "1e100", "--dt", "0.1",
+                     "--t-list", "1"])
+        assert code == 2
+        assert "overflows" in only_config_error(capsys)
+
     def test_malformed_mesh_line_exit_code(self, malformed_mesh, capsys):
         code = main(["--scheme", "fem", "--mesh", str(malformed_mesh), "--dt", "0.25",
                      "--t-list", "1"])

@@ -269,7 +269,8 @@ class TestNullControlRun:
         sine = fdm_scheme(grid, dt, RHO)
         assert isinstance(sine.mu_basis.__self__, SineSolver)
         factored = SpdFactorization(build_dn(grid).tocsc())
-        sparse = Scheme(stepper=sine.stepper, mu_basis=factored.solve, sq_norms=sine.sq_norms)
+        sparse = Scheme(stepper=sine.stepper, mass=sine.mass, mu_basis=factored.solve,
+                        sq_norms=sine.sq_norms)
         got = march(sine, v0, w0, horizons)
         want = march(sparse, v0, w0, horizons)
         for (r, _, _), (ref, _, _) in zip(got, want):

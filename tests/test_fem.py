@@ -299,8 +299,7 @@ class TestStiffnessSolver:
         w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *space.points())
         sine = fem_scheme(space, 0.2, RHO)
         factored = SpdFactorization(space.S.tocsc())
-        sparse = Scheme(stepper=sine.stepper,
-                        mu_basis=lambda v: factored.solve(space.M @ v),
+        sparse = Scheme(stepper=sine.stepper, mass=sine.mass, mu_basis=factored.solve,
                         sq_norms=space.mass_sq_norm)
         got = march(sine, v0, w0, [2.0, 4.0])
         want = march(sparse, v0, w0, [2.0, 4.0])

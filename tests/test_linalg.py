@@ -234,8 +234,9 @@ class TestSineSolver:
         S = build_fem_space(n, np.pi).S
         return S, SineSolver(S, grid.h**2 * dn_eigenvalues(grid)), grid.h**2
 
-    @pytest.mark.parametrize("scheme,n", [("fem", 57), ("fem", 150), ("fdm", 32), ("fdm", 101)],
-                             ids=["57", "150", "fdm32", "fdm101"])
+    @pytest.mark.parametrize("scheme,n", [("fem", 57), ("fem", 150), ("fdm", 32), ("fdm", 101),
+                                          ("fdm", 1), ("fdm", 2), ("fem", 2)],
+                             ids=["57", "150", "fdm32", "fdm101", "fdm1", "fdm2", "2"])
     def test_matches_factorization(self, scheme, n):
         S, sine, _ = self.solver(scheme, n)
         B = np.random.default_rng(n).standard_normal((n * n, 4))
@@ -322,12 +323,24 @@ class TestSplitStepSolver:
         space = self.space(0.3)
         solver = SplitStepSolver(space.M, space.S, 0.2, 1.5)
         v, b2 = self.rhs(space.N)
-        V, W = solver.solve(v, b2)
-        x, y = solver.solve(v[:, 2], b2[:, 2])
+        V, W, _ = solver.solve(v, b2)
+        x, y, _ = solver.solve(v[:, 2], b2[:, 2])
         assert x.shape == (space.N,)
         scale = np.linalg.norm(np.concatenate([x, y]))
         assert np.linalg.norm(V[:, 2] - x) <= 1e-14 * scale
         assert np.linalg.norm(W[:, 2] - y) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 2.5])
+    def test_carried_product_gives_the_same_step(self, rho):
+        space = self.space(0.3)
+        solver = SplitStepSolver(space.M, space.S, 0.2, rho)
+        v, b2 = self.rhs(space.N)
+        v1, w1, msv1 = solver.solve(v, b2)
+        np.testing.assert_array_equal(msv1, np.concatenate([space.M @ v1, space.S @ v1]))
+        carried = solver.solve(v1, b2 - w1, msv1)
+        computed = solver.solve(v1, b2 - w1)
+        for got, want in zip(carried, computed, strict=True):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rho", [1.5, 2.5])
     def test_nan_column_raises(self, rho):
@@ -361,3 +374,5 @@ class TestSplitStepSolver:
             solver.solve(np.ones((space.N, 2)), np.ones((space.N, 3)))
         with pytest.raises(ValueError):
             solver.solve(np.ones(space.N + 1), np.ones(space.N + 1))
+        with pytest.raises(ValueError, match="M v; S v"):
+            solver.solve(np.ones(space.N), np.ones(space.N), np.ones(space.N))
