@@ -20,6 +20,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .core import check_finite_positive
 
@@ -32,6 +33,13 @@ __all__ = [
 
 _SPD_RESIDUAL_TOL = 1e-12
 _BLOCK_RESIDUAL_TOL = 1e-10
+# Largest band storage N (b + 1) that factor_spd factors by band Cholesky:
+# 2^19 doubles, 4 MiB.  On a 2-core Xeon with 2 MiB of L2 per core, a solve
+# of k = 1 to 7 columns by the band took 0.45-0.85 times SuperLU's time for
+# the n=57 FEM step factors (191,691 entries) and 0.35-0.45 times for the
+# n=32 FDM Schur matrix (66,560), but 1.1-1.6 times for the n=150 FEM
+# factors (3.4M).  The n=101 Schur matrix (2.07M) stays on SuperLU with them.
+_BAND_ENTRIES = 1 << 19
 
 
 def _check_square(A: sp.spmatrix, name: str = "matrix") -> None:
@@ -75,6 +83,63 @@ def _check_backward_error(r: np.ndarray | tuple, x: np.ndarray | tuple,
             f"{what} backward error {worst:.3e} exceeds {tol:.0e}{hint}")
 
 
+def _bandwidth(A: sp.csr_matrix | sp.csc_matrix) -> int:
+    """Largest |i - j| over the stored entries of a CSR or CSC matrix.
+
+    Read from the first and last index of every row (or column), so no
+    temporary is larger than N: none of nnz size runs ahead of a factor.
+    """
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
+    starts, ends = A.indptr[:-1], A.indptr[1:]
+    slots = np.flatnonzero(ends > starts)  # an empty row has no extent
+    if slots.size == 0:
+        return 0
+    return int(max(np.max(slots - A.indices[starts[slots]]),
+                   np.max(A.indices[ends[slots] - 1] - slots)))
+
+
+class _BandCholesky:
+    """A = U^T U of a real SPD band matrix by LAPACK, in upper band storage.
+
+    Upper storage, not lower: with the OpenBLAS that scipy ships, its solves
+    took 0.75-0.8 times as long for the n=57 FEM step factors.
+    """
+
+    def __init__(self, A: sp.spmatrix, bandwidth: int):
+        upper = sp.triu(A, format="coo")
+        # row b + i - j of column j holds A[i, j]; toarray sums duplicate entries
+        band = sp.coo_matrix((upper.data, (bandwidth + upper.row - upper.col, upper.col)),
+                             shape=(bandwidth + 1, A.shape[0])).toarray(order="F")
+        self._factor, info = lapack.dpbtrf(band, lower=0, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"factorization failed: matrix is not positive definite (dpbtrf info={info})")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dpbtrs(self._factor, b, lower=0)[0]
+
+
+def factor_spd(A: sp.csr_matrix | sp.csc_matrix, permc_spec: str | None = None):
+    """Factor a real SPD matrix, or a complex split-step factor, once for many solves.
+
+    The result's ``solve`` takes one right-hand side (n,) or a block (n, k).
+    The choice reads only the matrix.  A real matrix whose band storage
+    N (b + 1) is at most ``_BAND_ENTRIES`` is factored by LAPACK band
+    Cholesky in natural order, which raises LinAlgError unless the matrix is
+    positive definite.  Any other, of wide band or complex, is factored by
+    SuperLU with column ordering ``permc_spec``, which certifies no
+    definiteness.
+    """
+    bandwidth = _bandwidth(A)
+    if np.isrealobj(A.data) and A.shape[0] * (bandwidth + 1) <= _BAND_ENTRIES:
+        return _BandCholesky(A, bandwidth)
+    try:
+        return spla.splu(A.tocsc(), permc_spec=permc_spec)
+    except RuntimeError as exc:  # singular to working precision
+        raise np.linalg.LinAlgError(f"factorization failed: {exc}") from exc
+
+
 def _check_symmetric(A: sp.spmatrix, tol: float = 1e-10) -> None:
     gap = abs(A - A.T)
     scale = max(abs(A).max(), 1.0)
@@ -83,12 +148,14 @@ def _check_symmetric(A: sp.spmatrix, tol: float = 1e-10) -> None:
 
 
 class SpdFactorization:
-    """Direct factorization of a sparse SPD matrix.
+    """Direct factorization of a sparse SPD matrix, by :func:`factor_spd`.
 
-    Construction certifies symmetry and (via factorization success, or CG
-    convergence on first use) positive definiteness on the range exercised.
-    CG, one column at a time, runs only above a ``direct_limit`` the caller
-    passes.
+    Construction certifies symmetry.  Only the band path certifies positive
+    definiteness (band Cholesky fails on any other matrix); SuperLU factors
+    any nonsingular matrix, and CG may converge on an indefinite one, so on
+    those paths a matrix that is not SPD is caught only if a solve fails its
+    backward-error check.  CG, one column at a time, runs only above a
+    ``direct_limit`` the caller passes.
     """
 
     def __init__(self, A: sp.spmatrix, *, direct_limit: int | None = None):
@@ -99,10 +166,7 @@ class SpdFactorization:
         self._norm = spla.norm(self.A, np.inf)
         self._direct = direct_limit is None or self.n <= direct_limit
         if self._direct:
-            try:
-                self._lu = spla.splu(self.A)
-            except RuntimeError as exc:  # singular to working precision
-                raise np.linalg.LinAlgError(f"factorization failed: {exc}") from exc
+            self._lu = factor_spd(self.A)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         _check_rhs(b, self.n)
@@ -218,8 +282,10 @@ class SplitStepSolver:
     For rho < 2 the roots are a complex-conjugate pair with positive real
     part, the factors are complex and the result is the real part; rho = 2
     gives the double root 1.  Each A_i is nonsingular for every dt > 0 (its
-    real part is SPD).  Every column's backward error is checked against the
-    full block system K, as in :class:`BlockSolver`.
+    real part is SPD); :func:`factor_spd` factors a real one by band
+    Cholesky when its band is narrow, and the rest by SuperLU.  Every
+    column's backward error is checked against the full block system K, as
+    in :class:`BlockSolver`.
 
     The check multiplies v+ and w+ by the stacked matrix [M; S], one product
     each.  The step returns [M v+; S v+], which the next step of the same
@@ -246,12 +312,8 @@ class SplitStepSolver:
                                np.max(dS + abs(self.M + rho * dt * S).sum(axis=0))))
         self._rho_dt = rho * dt
         s1, self._s2 = np.roots([1.0, -rho, 1.0])
-        try:
-            self._lu1, self._lu2 = [
-                spla.splu((self.M + s * dt * S).tocsc(), permc_spec="MMD_AT_PLUS_A")
-                for s in (s1, self._s2)]
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(f"factorization failed: {exc}") from exc
+        self._lu1, self._lu2 = [factor_spd((self.M + s * dt * S).tocsc(), "MMD_AT_PLUS_A")
+                                for s in (s1, self._s2)]
         # stacked only now: an allocation before the factors moves where their
         # work arrays land in the heap, and with it the peak RSS
         self._MS = sp.vstack([self.M, S], format="csr")

@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
-from platenull.fem import FemSpace, TriMesh, assemble, build_fem_space, build_structured_mesh
+from platenull import linalg
+from platenull.fdm import FdGrid, FdmStepper, build_dn, dn_eigenvalue, dn_eigenvalues
+from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble, build_fem_space,
+                           build_structured_mesh)
 from platenull.linalg import BlockSolver, SineSolver, SpdFactorization, SplitStepSolver
 
 
@@ -18,6 +20,21 @@ def solve_block_2x2(A11, A12, A21, A22, b1, b2):
 
 def residual(A, x, b):
     return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Type names of the factors that factor_spd returns while the test runs."""
+    names = []
+    factor_spd = linalg.factor_spd
+
+    def spy(A, *args):
+        factor = factor_spd(A, *args)
+        names.append(type(factor).__name__)
+        return factor
+
+    monkeypatch.setattr(linalg, "factor_spd", spy)
+    return names
 
 
 class TestSolveSpd:
@@ -57,6 +74,13 @@ class TestSolveSpd:
         A = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(np.linalg.LinAlgError):
             solve_spd(A, np.ones(2))
+
+    @pytest.mark.parametrize("diagonal", [[-1.0, -1.0, -1.0], [1.0, -2.0, 1.0]],
+                             ids=["negative", "indefinite"])
+    def test_rejects_nonsingular_non_spd(self, diagonal):
+        # SuperLU factored -I and solved it within the check; band Cholesky refuses it
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            SpdFactorization(sp.diags(diagonal, format="csc"))
 
     def test_rejects_dimension_mismatch(self):
         fac = SpdFactorization(sp.identity(3, format="csc"))
@@ -189,22 +213,30 @@ class TestBackwardErrorAtEveryScale:
     """Each solver's check accepts its own solve and rejects a wrong one at any scale.
 
     The wrong solvers factor twice the matrix, or divide by doubled
-    eigenvalues.  Squared entries overflow above about 1e154 and underflow
-    below about 1e-154, so a Euclidean-norm check passed any residual there.
+    eigenvalues.  The SPD and split-step factors come from ``factor_spd``,
+    which is wrapped: band Cholesky at n=8 and rho = 2.5, SuperLU for the
+    complex split factors of rho = 1.5.  ``BlockSolver`` calls SuperLU
+    itself.  Squared entries overflow above about 1e154 and underflow below
+    about 1e-154, so a Euclidean-norm check passed any residual there.
     """
 
     SCALES = (1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e200, 1e300)
+    # the factor that every factor_spd call returns, by kind
+    PATHS = {"spd": "_BandCholesky", "split": "_BandCholesky", "split1.5": "SuperLU"}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
-    @pytest.mark.parametrize("kind", ["spd", "sine", "block", "split"])
-    def test_check_holds_at_every_scale(self, kind, wrong, monkeypatch):
+    @pytest.mark.parametrize("kind", ["spd", "sine", "block", "split", "split1.5"])
+    def test_check_holds_at_every_scale(self, kind, wrong, monkeypatch, factored):
         grid = FdGrid(n=8, a=np.pi)
         D, eye = build_dn(grid), sp.identity(grid.N, format="csr")
-        dt, rho = 0.2, 2.5
-        if wrong:
+        dt, rho = 0.2, (1.5 if kind == "split1.5" else 2.5)
+        if wrong and kind == "block":
             splu = spla.splu
             monkeypatch.setattr(spla, "splu", lambda A, **kw: splu(2 * A, **kw))
+        elif wrong:
+            spy = linalg.factor_spd
+            monkeypatch.setattr(linalg, "factor_spd", lambda A, *args: spy(2 * A, *args))
         if kind == "spd":
             solve = SpdFactorization(D).solve
         elif kind == "sine":
@@ -213,6 +245,8 @@ class TestBackwardErrorAtEveryScale:
             step = (BlockSolver(eye, -dt * D, dt * D, eye + rho * dt * D) if kind == "block"
                     else SplitStepSolver(eye, D, dt, rho))
             solve = lambda b: step.solve(b, b)  # noqa: E731
+        if kind in self.PATHS and wrong:
+            assert factored and set(factored) == {self.PATHS[kind]}
         b = np.random.default_rng(8).standard_normal(grid.N)
         for scale in self.SCALES:
             if wrong:
@@ -376,3 +410,70 @@ class TestSplitStepSolver:
             solver.solve(np.ones(space.N + 1), np.ones(space.N + 1))
         with pytest.raises(ValueError, match="M v; S v"):
             solver.solve(np.ones(space.N), np.ones(space.N), np.ones(space.N))
+
+
+def fdm_schur(n, dt=0.2, rho=2.5):
+    """The FDM Schur matrix I + rho dt D + (dt D)^2 of an n x n grid, as FdmStepper builds it."""
+    dtD = dt * build_dn(FdGrid(n=n, a=np.pi))
+    return (sp.identity(n * n) + rho * dtD + dtD @ dtD).tocsc()
+
+
+class TestFactorChoice:
+    """factor_spd: band Cholesky for a real matrix of narrow band, SuperLU otherwise."""
+
+    @pytest.mark.parametrize("A,want", [
+        (sp.identity(4, format="csr"), 0),
+        (sp.diags([1.0, 3.0, 1.0], [-2, 0, 2], shape=(6, 6), format="csr"), 2),
+        (sp.csr_matrix(np.array([[1.0, 0, 0, 5], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])), 3),
+        (sp.csc_matrix(np.array([[1.0, 0, 0], [0, 0, 0], [4, 0, 1]])), 2),
+        (sp.csr_matrix((4, 4)), 0),
+    ], ids=["identity", "two-off", "upper-corner", "empty-column", "empty"])
+    def test_bandwidth(self, A, want):
+        assert linalg._bandwidth(A) == want
+
+    def test_bandwidth_of_unsorted_indices(self):
+        A = sp.csr_matrix((np.ones(3), np.array([2, 0, 1]), np.array([0, 2, 3])), shape=(2, 3))
+        assert not A.has_sorted_indices
+        assert linalg._bandwidth(A) == 2
+
+    @pytest.mark.parametrize("build,want", [
+        (lambda: FemStepper(build_fem_space(57, np.pi), 0.1, 2.5), ["_BandCholesky"] * 2),
+        (lambda: FdmStepper(build_dn(FdGrid(n=32, a=np.pi)), 0.2, 2.5), ["_BandCholesky"]),
+        (lambda: FemStepper(build_fem_space(150, np.pi), 0.2, 2.5), ["SuperLU"] * 2),
+        (lambda: FdmStepper(build_dn(FdGrid(n=101, a=np.pi)), 0.25, 2.5), ["SuperLU"]),
+        (lambda: FemStepper(build_fem_space(57, np.pi), 0.1, 1.5), ["SuperLU"] * 2),
+    ], ids=["fem57", "fdm32", "fem150", "fdm101", "fem57-rho1.5"])
+    def test_benchmark_grids(self, build, want, factored):
+        build()
+        assert factored == want
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("rho", [2.0, 2.5, 2.0 + 1e-7])
+    def test_split_step_band_matches_superlu(self, n, rho, factored, monkeypatch):
+        space = build_fem_space(n, np.pi)
+        v, b2 = np.random.default_rng(n).standard_normal((2, space.N, 3))
+        band = SplitStepSolver(space.M, space.S, 0.2, rho).solve(v, b2)
+        monkeypatch.setattr(linalg, "_BAND_ENTRIES", 0)
+        lu = SplitStepSolver(space.M, space.S, 0.2, rho).solve(v, b2)
+        assert factored == ["_BandCholesky"] * 2 + ["SuperLU"] * 2
+        for got, want in zip(band, lu, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_fdm_schur_band_matches_superlu(self, n, factored, monkeypatch):
+        dt, rho = 0.2, 2.5
+        A = fdm_schur(n, dt, rho)
+        B = np.random.default_rng(n).standard_normal((n * n, 3))
+        band = SpdFactorization(A)
+        monkeypatch.setattr(linalg, "_BAND_ENTRIES", 0)
+        lu = SpdFactorization(A)
+        assert factored == ["_BandCholesky", "SuperLU"]
+        # two backward-stable solves differ by up to about cond(A) eps: 2e-14 at
+        # n=8 but 3.2e-12 at n=32 (cond 1.46e4; there dense LAPACK LU and Cholesky
+        # also differ from SuperLU by 0.9e-13), so the bound is 1e-13 or that
+        dt_lam = dt * dn_eigenvalues(FdGrid(n=n, a=np.pi))
+        eig = 1.0 + rho * dt_lam + dt_lam**2
+        tol = max(1e-13, eig.max() / eig.min() * np.finfo(float).eps)
+        for b in (B, B[:, 1]):
+            want = lu.solve(b)
+            assert np.linalg.norm(band.solve(b) - want) <= tol * np.linalg.norm(want)
