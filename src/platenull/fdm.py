@@ -127,10 +127,13 @@ class FdmStepper:
         self._schur = SpdFactorization(schur)
 
     def step(self, state: StatePair, u: np.ndarray | None = None) -> StatePair:
-        b1 = state.v
-        b2 = state.w if u is None else state.w + self.dt * u
-        w_next = self._schur.solve(b2 - self.dt * (self.dn @ b1))
-        v_next = b1 + self.dt * (self.dn @ w_next)
+        rhs = self.dn @ state.v  # b2 - dt D v, then v + dt D w+, each formed in place
+        rhs *= -self.dt
+        rhs += state.w if u is None else state.w + self.dt * u
+        w_next = self._schur.solve(rhs)
+        v_next = self.dn @ w_next
+        v_next *= self.dt
+        v_next += state.v
         return StatePair(v=v_next, w=w_next)
 
 

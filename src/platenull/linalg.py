@@ -75,10 +75,10 @@ def _check_backward_error(r: np.ndarray | tuple, x: np.ndarray | tuple,
     """
     err = _column_norms(r)
     scale = norm * _column_norms(x) + _column_norms(b)
-    bad = ~(err <= tol * scale)
-    if np.any(bad):
+    ok = err <= tol * scale  # False for NaN
+    if not ok.all():
         with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.max(np.atleast_1d(err / scale)[np.atleast_1d(bad)])
+            worst = np.max(np.atleast_1d(err / scale)[~np.atleast_1d(ok)])
         raise np.linalg.LinAlgError(
             f"{what} backward error {worst:.3e} exceeds {tol:.0e}{hint}")
 
@@ -170,8 +170,8 @@ class SpdFactorization:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         _check_rhs(b, self.n)
-        if self._direct:
-            x = self._lu.solve(b)
+        if self._direct:  # in C order, as the march holds blocks: the products after copy none
+            x = np.ascontiguousarray(self._lu.solve(b))
         else:  # CG takes one column at a time
             cols = b.reshape(self.n, -1)
             x = np.empty(cols.shape)
@@ -180,7 +180,9 @@ class SpdFactorization:
                 if info != 0:
                     raise np.linalg.LinAlgError(f"CG did not converge (info={info})")
             x = x.reshape(b.shape)
-        _check_backward_error(self.A @ x - b, x, b, self._norm, _SPD_RESIDUAL_TOL,
+        r = self.A @ x
+        r -= b
+        _check_backward_error(r, x, b, self._norm, _SPD_RESIDUAL_TOL,
                               "solve", "; input is likely not SPD or is severely "
                               "ill-conditioned")
         return x
@@ -224,7 +226,9 @@ class SineSolver:
         coef = Q @ grids @ Q
         coef /= self._eigenvalues
         x = (Q @ coef @ Q).reshape(-1, self.n).T.reshape(b.shape)
-        _check_backward_error(self.A @ x - b, x, b, self._norm, _SPD_RESIDUAL_TOL,
+        r = self.A @ x
+        r -= b
+        _check_backward_error(r, x, b, self._norm, _SPD_RESIDUAL_TOL,
                               "sine solve", "; the matrix is likely not diagonal in "
                               "the sine basis with these eigenvalues")
         return x

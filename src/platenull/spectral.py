@@ -76,11 +76,16 @@ def exact_test_solution(x, y, t):
 
         v(t) = (e^{-4t} - e^{-16t}) sin 2x sin 2y,
         w(t) = (2 e^{-16t} - e^{-4t}/2) sin 2x sin 2y.
+
+    ``t`` is one time, or a 1-D array of L times: then v and w are (N, L)
+    blocks for N points, and column l is bitwise the call at time t[l],
+    since every time's coefficients come from ``math.exp`` alone.
     """
     shape = np.sin(2.0 * np.asarray(x)) * np.sin(2.0 * np.asarray(y))
-    v = (math.exp(-4.0 * t) - math.exp(-16.0 * t)) * shape
-    w = (2.0 * math.exp(-16.0 * t) - 0.5 * math.exp(-4.0 * t)) * shape
-    return v, w
+    times = np.asarray(t, dtype=float)
+    e4, e16 = (np.array([math.exp(-r * s) for s in times.ravel().tolist()]).reshape(times.shape)
+               for r in (4.0, 16.0))
+    return np.multiply.outer(shape, e4 - e16), np.multiply.outer(shape, 2.0 * e16 - 0.5 * e4)
 
 
 def evaluate_modal_sum(modes: Iterable[Mode], rho: float, x, y, t: float):

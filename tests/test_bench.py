@@ -463,6 +463,13 @@ class TestCli:
         assert code == 2
         assert "overflows" in only_config_error(capsys)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_step_count_exit_code(self, capsys):
+        # T / dt = 1e310 is not a float
+        code = main(["--n", "4", "--dt", "1e-300", "--t-list", "1e10"])
+        assert code == 2
+        assert "overflows" in only_config_error(capsys)
+
     def test_malformed_mesh_line_exit_code(self, malformed_mesh, capsys):
         code = main(["--scheme", "fem", "--mesh", str(malformed_mesh), "--dt", "0.25",
                      "--t-list", "1"])

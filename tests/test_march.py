@@ -7,18 +7,21 @@ scheme's step matrix (or samples the closed-form twin) and evaluates
 
 at t_{j+1}, with (K, B) = (D, I) for FDM and (S, M) for FEM.  The march and
 both one-horizon drivers reject a horizon T that is not a finite positive
-multiple (>= 2) of dt.
+multiple (>= 2) of dt.  A closed-form twin is sampled and solved in blocks of
+levels, and the controls of the running horizons are one rank-2 product.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from platenull import fdm, fem
+from platenull import march as march_module
 from platenull.bench import SweepConfig, resolve_initial_data, run_single
 from platenull.control import f_weight, f_weight_prime
-from platenull.march import march
+from platenull.march import march, steps_for
 from platenull.spectral import exact_test_solution
 
 RHO = 2.5
@@ -74,7 +77,9 @@ CASES = [(scheme, twin, n) for scheme in ("fdm", "fem")
 
 
 @pytest.mark.parametrize("scheme,twin,n", CASES)
-def test_emitted_control_matches_dense_recipe(scheme, twin, n):
+def test_emitted_control_matches_dense_recipe(scheme, twin, n, monkeypatch):
+    # closed-form levels come in blocks of 3, so the 8 steps cross block boundaries
+    monkeypatch.setattr(march_module, "_TWIN_BLOCK_ENTRIES", 3 * n * n)
     config = SweepConfig(scheme=scheme, n=n, rho=RHO, side=math.pi, dt=DT, t_list=(T,),
                          init=DATA if twin == "discrete" else "test-problem", twin=twin)
     _, controls, _ = run_single(config, T)
@@ -111,3 +116,74 @@ def test_rejects_horizon_off_the_step_grid(run, horizon):
     # a horizon needs at least two steps and must land on the step grid
     with pytest.raises(ValueError, match="integer multiple"):
         run(horizon)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dt", [1e-300, np.float64(1e-300)], ids=["float", "float64"])
+def test_rejects_a_step_count_that_overflows(dt):
+    with pytest.raises(ValueError, match="overflows"):
+        steps_for(1e10, dt)
+
+
+def exact_twin(grid):
+    x, y = grid.points()
+    return lambda t: exact_test_solution(x, y, t)
+
+
+def test_exact_twin_is_solved_a_block_at_a_time(monkeypatch):
+    grid = fdm.FdGrid(n=4, a=math.pi)
+    L = 5
+    monkeypatch.setattr(march_module, "_TWIN_BLOCK_ENTRIES", L * grid.N)
+    scheme = fdm.fdm_scheme(grid, DT, RHO)
+    times, solved = [], []
+
+    def twin(t):
+        times.append(np.array(t))
+        return exact_twin(grid)(t)
+
+    def mu_basis(b):
+        solved.append(b.shape)
+        return scheme.mu_basis(b)
+
+    horizons = [0.25, 0.5, 1.0, 2.0]
+    M = steps_for(max(horizons), DT)
+    counted = march(dataclasses.replace(scheme, mu_basis=mu_basis),
+                    np.zeros(grid.N), np.ones(grid.N), horizons, twin=twin)
+    assert len(solved) == len(times) == math.ceil(M / L)
+    assert all(len(t) <= L for t in times) and all(shape[1] <= L for shape in solved)
+    # levels 1..M, each once, and never level M + 1
+    np.testing.assert_array_equal(np.concatenate(times), DT * np.arange(1, M + 1))
+    plain = march(scheme, np.zeros(grid.N), np.ones(grid.N), horizons, twin=exact_twin(grid))
+    for (got, _, _), (want, _, _) in zip(counted, plain):
+        assert got.control_norm == pytest.approx(want.control_norm, rel=1e-14)
+        assert got.terminal_energy == pytest.approx(want.terminal_energy, rel=1e-12)
+
+
+def test_rejects_a_twin_that_is_not_a_block_of_levels():
+    # a twin callable maps an array of L times to (N, L) blocks, not one time to (N,)
+    grid = fdm.FdGrid(n=4, a=math.pi)
+    with pytest.raises(ValueError, match=r"\(N, L\) = \(16, 8\)"):
+        march(fdm.fdm_scheme(grid, DT, RHO), np.zeros(grid.N), np.ones(grid.N), [1.0],
+              twin=lambda t: tuple(u[:, 0] for u in exact_twin(grid)(t)))
+
+
+def test_controls_are_the_rank_two_product():
+    # u = -(a f_T + z f_T') column by column, a = rho v_h + w_h + (z^{j+2} - z^{j+1})/dt;
+    # the running horizons fall from 6 to 1, so every k from 6 to 1 is checked
+    horizons = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+    grid = fdm.FdGrid(n=4, a=math.pi)
+    scheme = fdm.fdm_scheme(grid, DT, RHO)
+    runs = march(scheme, np.zeros(grid.N), np.ones(grid.N), horizons,
+                 twin=exact_twin(grid), keep_controls=True)
+    M = steps_for(max(horizons), DT)
+    v, w = exact_twin(grid)(DT * np.arange(1, M + 1))
+    z = np.column_stack([scheme.mu_basis(v[:, level]) for level in range(M)])
+    for j in range(M):
+        ahead = min(j + 1, M - 1)  # level M + 1 is never formed; f_T(T) = 0 there
+        a = RHO * v[:, j] + w[:, j] + (z[:, ahead] - z[:, j]) / DT
+        running = [c for c, T in enumerate(horizons) if steps_for(T, DT) > j]
+        T = np.array([horizons[c] for c in running])
+        t = np.minimum((j + 1) * DT, T)
+        want = -(np.outer(a, f_weight(t, T)) + np.outer(z[:, j], f_weight_prime(t, T)))
+        got = np.column_stack([runs[c][1][j] for c in running])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))

@@ -93,6 +93,16 @@ class TestExactTestSolution:
         assert v.shape == x.shape
         assert w.shape == x.shape
 
+    def test_array_of_times_stacks_the_scalar_calls_bitwise(self):
+        x, y = np.linspace(0.1, 3.0, 9), np.linspace(3.1, 0.2, 9)
+        dt = 0.1
+        levels = np.arange(3, 11)
+        v, w = exact_test_solution(x, y, dt * levels)
+        assert v.shape == w.shape == (9, len(levels))
+        for c, level in enumerate(levels.tolist()):
+            ve, we = exact_test_solution(x, y, level * dt)
+            assert np.array_equal(v[:, c], ve) and np.array_equal(w[:, c], we)
+
 
 class TestEvaluateModalSum:
     def test_empty_sum(self):
