@@ -30,11 +30,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reproduce the null-controller convergence and blow-up tables.")
     p.add_argument("--scheme", choices=("fdm", "fem"), default="fdm")
     p.add_argument("--n", type=int, default=32,
-                   help="interior resolution per axis; the stiffness solve's sine transform "
-                        "costs O(n^3) per grid and was timed only up to n = 300")
+                   help="interior resolution per axis; the stiffness solves and every FDM "
+                        "step run sine transforms, O(n^3) per grid, timed only up to n = 300")
     p.add_argument("--rho", type=float, default=2.5, help="damping coefficient")
     p.add_argument("--side", type=float, default=math.pi, help="domain side length")
-    p.add_argument("--dt", type=float, default=0.2, help="time step")
+    p.add_argument("--dt", type=float, default=0.2,
+                   help="time step; a table may take at most 2^24 step-columns: the steps of "
+                        "its longest T times its number of T, one more with the discrete twin")
     p.add_argument("--t-list", default="2,4,8,16,32,64",
                    help="comma-separated terminal times; consecutive ratio 2")
     p.add_argument("--init", default=bench.TEST_PROBLEM,

@@ -11,10 +11,11 @@ One implicit time step of the coupled system solves
     v+ - dt*D w+           = v,
     w+ + dt*D (v+ + rho w+) = dt*u + w,
 
-by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD and is
-factored once per sweep, for the run loop in :mod:`platenull.march`.  D
-itself is never factored: the sine transform diagonalizes it, so its
-solves in the control go through :class:`platenull.linalg.SineSolver`.
+by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD.
+Nothing is factored.  The sine transform diagonalizes D, so the stiffness
+solves of the control go through :class:`platenull.linalg.SineSolver`, and
+the Schur solves of the step through its refined variant, with the
+eigenvalues 1 + rho*dt*lam + (dt*lam)^2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step
-from .linalg import SineSolver, SpdFactorization
+from .linalg import RefinedSineSolver, SineSolver, SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march, sample
 
 __all__ = [
@@ -107,24 +108,29 @@ def dn_eigenvalues(grid: FdGrid) -> np.ndarray:
 
 
 class FdmStepper:
-    """One implicit-Euler step of the coupled system, factored once.
+    """One implicit-Euler step of the coupled system, solved in the sine basis.
 
-    The homogeneous and the controlled step share this factorization; the
-    controlled step with u = None is bitwise the homogeneous one.  States
-    and controls are (N,) vectors or (N, k) blocks of k columns.
+    ``eigenvalues`` are those of D on its grid, as :func:`dn_eigenvalues`
+    returns them.  The Schur solve is a sine-transform solve refined once
+    against the assembled Schur matrix, whose backward error it checks.
+    The homogeneous and the controlled step share it; the controlled step
+    with u = None is bitwise the homogeneous one.  States and controls are
+    (N,) vectors or (N, k) blocks of k columns.
     """
 
-    def __init__(self, dn: sp.spmatrix, dt: float, rho: float):
+    def __init__(self, dn: sp.spmatrix, dt: float, rho: float, eigenvalues: np.ndarray):
         check_finite_positive("dt", dt)
         check_finite_positive("rho", rho)
         warn_coarse_step(dt, rho)
         self.dn = dn.tocsr()
         self.dt = dt
         self.rho = rho
-        N = dn.shape[0]
         dtD = dt * self.dn
-        schur = (sp.identity(N) + rho * dtD + dtD @ dtD).tocsc()
-        self._schur = SpdFactorization(schur)
+        schur = (sp.identity(dn.shape[0]) + rho * dtD + dtD @ dtD).tocsr()
+        dt_lam = dt * eigenvalues
+        with np.errstate(over="ignore"):  # an overflowing eigenvalue fails the solve's check
+            mu = 1.0 + rho * dt_lam + dt_lam * dt_lam
+        self._schur = RefinedSineSolver(schur, mu)
 
     def step(self, state: StatePair, u: np.ndarray | None = None) -> StatePair:
         rhs = self.dn @ state.v  # b2 - dt D v, then v + dt D w+, each formed in place
@@ -149,10 +155,10 @@ def fdm_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.n
 
 def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -> Scheme:
     """The march's view of the grid (K = D, B = I); norms h-weighted if ``weighted``."""
-    dn = build_dn(grid)
+    dn, lam = build_dn(grid), dn_eigenvalues(grid)
     weight = grid.h**2 if weighted else 1.0
-    return Scheme(stepper=FdmStepper(dn, dt, rho), mass=lambda v: v,
-                  mu_basis=SineSolver(dn, dn_eigenvalues(grid)).solve,
+    return Scheme(stepper=FdmStepper(dn, dt, rho, lam), mass=lambda v: v,
+                  mu_basis=SineSolver(dn, lam).solve,
                   sq_norms=lambda X: weight * euclidean_sq(X))
 
 

@@ -27,6 +27,7 @@ from .core import check_finite_positive
 __all__ = [
     "SpdFactorization",
     "SineSolver",
+    "RefinedSineSolver",
     "BlockSolver",
     "SplitStepSolver",
 ]
@@ -36,9 +37,9 @@ _BLOCK_RESIDUAL_TOL = 1e-10
 # Largest band storage N (b + 1) that factor_spd factors by band Cholesky:
 # 2^19 doubles, 4 MiB.  On a 2-core Xeon with 2 MiB of L2 per core, a solve
 # of k = 1 to 7 columns by the band took 0.45-0.85 times SuperLU's time for
-# the n=57 FEM step factors (191,691 entries) and 0.35-0.45 times for the
-# n=32 FDM Schur matrix (66,560), but 1.1-1.6 times for the n=150 FEM
-# factors (3.4M).  The n=101 Schur matrix (2.07M) stays on SuperLU with them.
+# the n=57 FEM step factors (191,691 entries), but 1.1-1.6 times for the
+# n=150 FEM factors (3.4M).  No FDM matrix is factored: the FDM Schur
+# matrix is solved by RefinedSineSolver.
 _BAND_ENTRIES = 1 << 19
 
 
@@ -219,18 +220,66 @@ class SineSolver:
         jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
         self._Q = math.sqrt(2.0 / (n + 1)) * np.sin(jk * (math.pi / (n + 1)))
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        _check_rhs(b, self.n)
-        Q, side = self._Q, self._eigenvalues.shape[0]
-        grids = np.ascontiguousarray(b.reshape(self.n, -1).T).reshape(-1, side, side)
-        coef = Q @ grids @ Q
-        coef /= self._eigenvalues
-        x = (Q @ coef @ Q).reshape(-1, self.n).T.reshape(b.shape)
+    def _transform_solve(self, b: np.ndarray) -> np.ndarray:
+        """Q diag(1 / eigenvalues) Q b, unchecked, in the shape of b.
+
+        The transforms run in two blocks of k grids, one of which returns
+        as the result: a view, in Fortran order for a block of k > 1 columns.
+        """
+        Q, side, k = self._Q, self._eigenvalues.shape[0], b.size // self.n
+        grids = np.empty((k, side, side))
+        grids.reshape(k, self.n)[...] = b.reshape(self.n, k).T
+        work = np.matmul(Q, grids)
+        np.matmul(work, Q, out=grids)
+        grids /= self._eigenvalues
+        np.matmul(Q, grids, out=work)
+        np.matmul(work, Q, out=grids)
+        return grids.reshape(k, self.n).T.reshape(b.shape)
+
+    def _check(self, x: np.ndarray, b: np.ndarray) -> None:
         r = self.A @ x
         r -= b
         _check_backward_error(r, x, b, self._norm, _SPD_RESIDUAL_TOL,
                               "sine solve", "; the matrix is likely not diagonal in "
                               "the sine basis with these eigenvalues")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        _check_rhs(b, self.n)
+        x = self._transform_solve(b)
+        self._check(x, b)
+        return x
+
+
+# Steps of iterative refinement in RefinedSineSolver, measured on the five
+# FDM benchmark tables against the factored Schur solve they replace (one
+# BLAS thread of a 2-core Xeon).  With none, fdm101-dt0.25 moved by 1.47e-10
+# in energy and 2.6e-11 in control norm, past the benchmark's 1e-10; one
+# kept every table within 4.1e-12 and 1.6e-12; two came within 1.6e-12 and
+# 3.7e-13, but an fdm-acceptance pass took 0.36 s against 0.30 s with one,
+# as long as with the factored solve.
+_REFINEMENTS = 1
+
+
+class RefinedSineSolver(SineSolver):
+    """:class:`SineSolver` refined against the assembled matrix ``A``.
+
+    When ``A`` is assembled from D by sparse products, as the FDM Schur
+    matrix I + rho dt D + (dt D)^2 is, rounding in its entries moves its
+    action on the smooth modes away from the closed-form eigenvalues (by
+    up to 1e-10 relative at n = 101, dt = 0.25).  A step of iterative
+    refinement, x -= Q diag(1 / eigenvalues) Q (A x - b), solves the
+    assembled matrix itself, as a factorization of it would.  The result
+    is C-contiguous.
+    """
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        _check_rhs(b, self.n)
+        x = np.ascontiguousarray(self._transform_solve(b))
+        for _ in range(_REFINEMENTS):
+            r = self.A @ x
+            r -= b
+            x -= self._transform_solve(r)
+        self._check(x, b)
         return x
 
 

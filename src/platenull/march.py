@@ -49,6 +49,11 @@ def sample(f: InitialDatum, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # array of L times it returns (v_h, w_h) as (N, L) blocks, column l at t[l].
 TwinSource = str | Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+# The march forms the times t (M, K) and the weights (M, 2, off + K) of every
+# step before its loop, so it takes at most this many step-columns M (off + K):
+# 2^24, 256 MiB of weights.
+_MAX_STEP_COLUMNS = 1 << 24
+
 # A closed-form twin is sampled, and its stiffness solve run, at most this
 # many node values per block: 2^14 / N levels (16 at n = 32), at least one.
 _TWIN_BLOCK_ENTRIES = 1 << 14
@@ -119,6 +124,9 @@ def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[flo
     m = np.array([steps_for(Tc, dt) for Tc in T])
     N, K, M = len(v0), len(T), int(m[0])
     off = int(discrete)  # the discrete twin rides as column 0 of the stepped block
+    if M * (off + K) > _MAX_STEP_COLUMNS:
+        raise ValueError(f"{M} steps of {off + K} columns exceed the march's limit of "
+                         f"{_MAX_STEP_COLUMNS} step-columns: use a larger dt or fewer T")
     # u^{j+1} = [a z] @ weights[j] for columns lo:hi, a zero column first for the twin;
     # t_{m_c} is T_c, however m_c dt rounds
     t = np.minimum(dt * np.arange(1, M + 1)[:, None], T)

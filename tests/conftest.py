@@ -3,7 +3,8 @@ import math
 import pytest
 import scipy.sparse as sp
 
-from platenull import fem
+from platenull import fdm, fem
+from platenull.core import StatePair
 from platenull.linalg import BlockSolver
 
 
@@ -25,6 +26,26 @@ class BlockStep:
 def use_block_step(monkeypatch):
     """Call it to make every FemStepper built afterwards step by the block LU."""
     return lambda: monkeypatch.setattr(fem, "SplitStepSolver", BlockStep)
+
+
+class FdmBlockStep:
+    """FdmStepper's interface on the 2N block LU of the FDM step matrix."""
+
+    def __init__(self, dn, dt, rho, eigenvalues):
+        eye = sp.identity(dn.shape[0], format="csr")
+        self.dt, self.rho = dt, rho
+        self._solver = BlockSolver(eye, -dt * dn, dt * dn, eye + rho * dt * dn)
+
+    def step(self, state, u=None):
+        v, w = self._solver.solve(state.v, state.w if u is None else state.w + self.dt * u)
+        return StatePair(v=v, w=w)
+
+
+@pytest.fixture
+def use_fdm_block_step(monkeypatch):
+    """Make every FdmStepper built in the test step by the block LU; returns that class."""
+    monkeypatch.setattr(fdm, "FdmStepper", FdmBlockStep)
+    return FdmBlockStep
 
 
 @pytest.fixture(params=["four-index-elements", "flag-2", "extra-vertex-tokens"])

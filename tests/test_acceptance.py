@@ -26,7 +26,7 @@ from platenull.bench import (SweepConfig, fit_loglog_slope, run_property_checks,
                              run_sweep)
 from platenull.control import f_weight, f_weight_prime
 from platenull.core import StatePair, rate_sequence
-from platenull.fdm import FdGrid, FdmStepper, build_dn
+from platenull.fdm import FdGrid, FdmStepper, build_dn, dn_eigenvalues
 from platenull.march import sample
 from platenull.spectral import exact_test_solution
 
@@ -256,7 +256,7 @@ def _fdm_homogeneous_max_error(n: int, dt: float, t_end: float) -> float:
     state = StatePair(v=np.zeros(grid.N),
                       w=sample(lambda x, y: 1.5 * np.sin(2 * x)
                                * np.sin(2 * y), *grid.points()))
-    stepper = FdmStepper(build_dn(grid), dt, RHO)
+    stepper = FdmStepper(build_dn(grid), dt, RHO, dn_eigenvalues(grid))
     for _ in range(round(t_end / dt)):
         state = stepper.step(state)
     ve, we = exact_test_solution(x, y, t_end)

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import platenull
+from platenull import march as march_module
 from platenull.fdm import FdGrid, run_fdm_null_control
 from platenull.fem import build_fem_space, build_structured_mesh, run_fem_null_control
 from platenull.bench import (ExpressionError, SweepConfig, SweepRow, SweepTable,
@@ -469,6 +471,38 @@ class TestCli:
         code = main(["--n", "4", "--dt", "1e-300", "--t-list", "1e10"])
         assert code == 2
         assert "overflows" in only_config_error(capsys)
+
+    @pytest.mark.filterwarnings("error", "ignore:dt = .* damping time scale")
+    @pytest.mark.parametrize("flag,value", [("--side", "1e-150"), ("--rho", "1e300")])
+    def test_overflowing_schur_matrix_exit_code(self, flag, value, capsys):
+        # (dt D)^2 or rho dt D leaves the float range: a solve's backward-error check fails
+        code = main(["--n", "4", "--dt", "0.1", "--t-list", "1", flag, value])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("solver failure:"), captured.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dt", ["1.7e-17", repr(1 / (2**23 + 1))])
+    def test_step_count_past_the_march_limit_exit_code(self, dt, capsys):
+        # 5.9e16 steps once asked numpy for 418 PiB; 2^23 + 1 steps with the
+        # riding twin are 2^24 + 2 step-columns, whose weights would take 256 MiB
+        tracemalloc.start()
+        try:
+            code = main(["--n", "4", "--dt", dt, "--t-list", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "step-columns" in only_config_error(capsys)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("limit,code", [(8, 0), (7, 2)])
+    def test_march_limit_counts_steps_times_columns(self, limit, code, monkeypatch, capsys):
+        # 4 steps of one horizon and the riding twin are 8 step-columns
+        monkeypatch.setattr(march_module, "_MAX_STEP_COLUMNS", limit)
+        assert main(["--n", "4", "--dt", "0.25", "--t-list", "1"]) == code
 
     def test_malformed_mesh_line_exit_code(self, malformed_mesh, capsys):
         code = main(["--scheme", "fem", "--mesh", str(malformed_mesh), "--dt", "0.25",

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from platenull.bench import SweepConfig, run_sweep
 from platenull.control import kalman_check
 from platenull.core import StatePair
-from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue,
+from platenull.fdm import (FdGrid, FdmStepper, build_dn, dn_eigenvalue, dn_eigenvalues,
                            fdm_control_at_step, fdm_scheme, run_fdm_null_control)
 from platenull.linalg import SineSolver, SpdFactorization
 from platenull.march import Scheme, march, sample
@@ -145,7 +145,7 @@ class TestSteps:
         g = FdGrid(n=8, a=np.pi)
         dn = build_dn(g)
         phi = sample(lambda x, y: np.sin(2 * x) * np.sin(2 * y), *g.points())
-        out = FdmStepper(dn, 0.05, RHO).step(StatePair(v=np.zeros(g.N), w=phi))
+        out = FdmStepper(dn, 0.05, RHO, dn_eigenvalues(g)).step(StatePair(v=np.zeros(g.N), w=phi))
         for comp in (out.v, out.w):
             coef = (comp @ phi) / (phi @ phi)
             np.testing.assert_allclose(comp, coef * phi, atol=1e-12)
@@ -262,11 +262,14 @@ class TestNullControlRun:
         assert np.all(np.isfinite(z)) and np.linalg.norm(z) > 0
 
     @pytest.mark.parametrize("n,dt,horizons", [(32, 0.2, [2.0, 4.0]), (101, 0.25, [1.0])])
-    def test_sweep_matches_factored_stiffness(self, n, dt, horizons):
+    def test_sweep_matches_factored_stiffness(self, n, dt, horizons, use_fdm_block_step):
+        # Both marches step by the block LU: the refined sine step's rounding moves
+        # with its input, by up to 1.5e-12 in energy at n = 101 (see the next test)
         grid = FdGrid(n=n, a=np.pi)
         v0 = np.zeros(grid.N)
         w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *grid.points())
         sine = fdm_scheme(grid, dt, RHO)
+        assert isinstance(sine.stepper, use_fdm_block_step)
         assert isinstance(sine.mu_basis.__self__, SineSolver)
         factored = SpdFactorization(build_dn(grid).tocsc())
         sparse = Scheme(stepper=sine.stepper, mass=sine.mass, mu_basis=factored.solve,
@@ -276,6 +279,26 @@ class TestNullControlRun:
         for (r, _, _), (ref, _, _) in zip(got, want):
             assert r.control_norm == pytest.approx(ref.control_norm, rel=1e-12)
             assert r.terminal_energy == pytest.approx(ref.terminal_energy, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1 - 1e-15, 1 + 1e-15, 1 + 2e-15])
+    def test_energy_sensitivity_to_the_forcing(self, scale):
+        # fdm101-dt0.25 with every control scaled by 1 +- 1e-15 or so: the energy
+        # moved by at most 1.6e-12 on one BLAS thread and on two
+        grid = FdGrid(n=101, a=np.pi)
+        v0 = np.zeros(grid.N)
+        w0 = sample(lambda x, y: 1.5 * np.sin(2 * x) * np.sin(2 * y), *grid.points())
+        scheme = fdm_scheme(grid, 0.25, RHO)
+        step = scheme.stepper.step
+
+        class Scaled:
+            dt, rho = scheme.stepper.dt, scheme.stepper.rho
+
+            def step(self, state, u=None):
+                return step(state, None if u is None else scale * u)
+
+        (want, _, _), = march(scheme, v0, w0, [1.0])
+        (got, _, _), = march(replace(scheme, stepper=Scaled()), v0, w0, [1.0])
+        assert got.terminal_energy == pytest.approx(want.terminal_energy, rel=1e-11)
 
 
 class TestKalman:

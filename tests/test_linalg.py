@@ -1,13 +1,20 @@
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from platenull import linalg
-from platenull.fdm import FdGrid, FdmStepper, build_dn, dn_eigenvalue, dn_eigenvalues
+from platenull.cli import main
+from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble, build_fem_space,
                            build_structured_mesh)
-from platenull.linalg import BlockSolver, SineSolver, SpdFactorization, SplitStepSolver
+from platenull.linalg import (BlockSolver, RefinedSineSolver, SineSolver, SpdFactorization,
+                              SplitStepSolver)
 
 
 def solve_spd(A, b):
@@ -20,6 +27,24 @@ def solve_block_2x2(A11, A12, A21, A22, b1, b2):
 
 def residual(A, x, b):
     return np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+
+
+def _benchmark_tables():
+    """The benchmark's tables by id, from ``platebench/workloads.py``, which is left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "platebench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("platebench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return {t.id: t for w in workloads.WORKLOADS.values() for t in w.tables}
+
+
+def run_fdm_tables(n):
+    """Run every FDM table of the benchmark on the n x n grid through the CLI (4 at n=32)."""
+    tables = [t for t in _benchmark_tables().values() if t.scheme == "fdm" and t.n == n]
+    assert tables
+    for table in tables:
+        assert main(table.argv() + ["--out", os.devnull]) == 0
 
 
 @pytest.fixture
@@ -213,11 +238,12 @@ class TestBackwardErrorAtEveryScale:
     """Each solver's check accepts its own solve and rejects a wrong one at any scale.
 
     The wrong solvers factor twice the matrix, or divide by doubled
-    eigenvalues.  The SPD and split-step factors come from ``factor_spd``,
-    which is wrapped: band Cholesky at n=8 and rho = 2.5, SuperLU for the
-    complex split factors of rho = 1.5.  ``BlockSolver`` calls SuperLU
-    itself.  Squared entries overflow above about 1e154 and underflow below
-    about 1e-154, so a Euclidean-norm check passed any residual there.
+    eigenvalues (which one refinement step leaves a quarter off).  The SPD
+    and split-step factors come from ``factor_spd``, which is wrapped: band
+    Cholesky at n=8 and rho = 2.5, SuperLU for the complex split factors of
+    rho = 1.5.  ``BlockSolver`` calls SuperLU itself.  Squared entries
+    overflow above about 1e154 and underflow below about 1e-154, so a
+    Euclidean-norm check passed any residual there.
     """
 
     SCALES = (1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e200, 1e300)
@@ -226,7 +252,7 @@ class TestBackwardErrorAtEveryScale:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
-    @pytest.mark.parametrize("kind", ["spd", "sine", "block", "split", "split1.5"])
+    @pytest.mark.parametrize("kind", ["spd", "sine", "refined", "block", "split", "split1.5"])
     def test_check_holds_at_every_scale(self, kind, wrong, monkeypatch, factored):
         grid = FdGrid(n=8, a=np.pi)
         D, eye = build_dn(grid), sp.identity(grid.N, format="csr")
@@ -241,6 +267,8 @@ class TestBackwardErrorAtEveryScale:
             solve = SpdFactorization(D).solve
         elif kind == "sine":
             solve = SineSolver(D, (2.0 if wrong else 1.0) * dn_eigenvalues(grid)).solve
+        elif kind == "refined":
+            solve = RefinedSineSolver(*fdm_schur(grid.n, dt, rho, wrong)).solve
         else:
             step = (BlockSolver(eye, -dt * D, dt * D, eye + rho * dt * D) if kind == "block"
                     else SplitStepSolver(eye, D, dt, rho))
@@ -319,6 +347,50 @@ class TestSineSolver:
     def test_rejects_mismatched_eigenvalues(self):
         with pytest.raises(ValueError):
             SineSolver(build_dn(FdGrid(n=4, a=1.0)), np.ones((3, 3)))
+
+
+class TestRefinedSineSolver:
+    """The FDM Schur solve against band Cholesky (n=32) and SuperLU (n=101) of the same matrix.
+
+    Bounds on the relative distance to the factored solve, from a first run
+    on one BLAS thread: refined 1.0e-13 at n=32 and 2.6e-12 at n=101, and
+    the plain transform 4.7e-13 and 0.93-1.3e-10.  At n=101 the assembled
+    (dt D)^2 acts on the smooth modes 1e-10 away from the closed-form
+    eigenvalues, and the refinement step closes that gap.
+    """
+
+    @pytest.mark.parametrize("n,dt,refined_tol,plain_min", [
+        (32, 0.2, 3e-13, 0.0), (101, 0.25, 1e-11, 3e-11)], ids=["fdm32", "fdm101"])
+    @pytest.mark.parametrize("k", [1, 3], ids=["vector", "block"])
+    def test_matches_factorization_of_the_assembled_matrix(self, n, dt, refined_tol,
+                                                          plain_min, k, factored):
+        S, mu = fdm_schur(n, dt)
+        B = np.random.default_rng(n).standard_normal((n * n, 3))
+        b = B[:, 1] if k == 1 else B
+        want = SpdFactorization(S).solve(b)
+        assert factored == ["_BandCholesky" if n == 32 else "SuperLU"]
+        refined = RefinedSineSolver(S, mu).solve(b)
+        plain = SineSolver(S, mu).solve(b)
+        assert refined.shape == b.shape and refined.flags.c_contiguous
+        gap = np.linalg.norm(refined - want) / np.linalg.norm(want)
+        assert gap <= refined_tol
+        assert np.linalg.norm(plain - want) / np.linalg.norm(want) >= plain_min
+
+    def test_block_columns_equal_single_solves(self):
+        S, mu = fdm_schur(8)
+        solver = RefinedSineSolver(S, mu)
+        B = np.random.default_rng(6).standard_normal((64, 3))
+        X = solver.solve(B)
+        for c in range(3):
+            x = solver.solve(B[:, c])
+            assert np.linalg.norm(X[:, c] - x) <= 1e-14 * np.linalg.norm(x)
+
+    def test_leaves_the_right_hand_side_alone(self):
+        S, mu = fdm_schur(8)
+        b = np.random.default_rng(7).standard_normal((64, 2))
+        kept = b.copy()
+        RefinedSineSolver(S, mu).solve(b)
+        np.testing.assert_array_equal(b, kept)
 
 
 class TestSplitStepSolver:
@@ -412,10 +484,13 @@ class TestSplitStepSolver:
             solver.solve(np.ones(space.N), np.ones(space.N), np.ones(space.N))
 
 
-def fdm_schur(n, dt=0.2, rho=2.5):
-    """The FDM Schur matrix I + rho dt D + (dt D)^2 of an n x n grid, as FdmStepper builds it."""
-    dtD = dt * build_dn(FdGrid(n=n, a=np.pi))
-    return (sp.identity(n * n) + rho * dtD + dtD @ dtD).tocsc()
+def fdm_schur(n, dt=0.2, rho=2.5, wrong=False):
+    """The FDM Schur matrix I + rho dt D + (dt D)^2 of an n x n grid, as FdmStepper builds it,
+    and its eigenvalues 1 + rho dt lam + (dt lam)^2, doubled if ``wrong``."""
+    grid = FdGrid(n=n, a=np.pi)
+    dtD, dt_lam = dt * build_dn(grid), dt * dn_eigenvalues(grid)
+    return ((sp.identity(n * n) + rho * dtD + dtD @ dtD).tocsr(),
+            (2.0 if wrong else 1.0) * (1.0 + rho * dt_lam + dt_lam * dt_lam))
 
 
 class TestFactorChoice:
@@ -438,9 +513,9 @@ class TestFactorChoice:
 
     @pytest.mark.parametrize("build,want", [
         (lambda: FemStepper(build_fem_space(57, np.pi), 0.1, 2.5), ["_BandCholesky"] * 2),
-        (lambda: FdmStepper(build_dn(FdGrid(n=32, a=np.pi)), 0.2, 2.5), ["_BandCholesky"]),
+        (lambda: run_fdm_tables(32), []),
         (lambda: FemStepper(build_fem_space(150, np.pi), 0.2, 2.5), ["SuperLU"] * 2),
-        (lambda: FdmStepper(build_dn(FdGrid(n=101, a=np.pi)), 0.25, 2.5), ["SuperLU"]),
+        (lambda: run_fdm_tables(101), []),
         (lambda: FemStepper(build_fem_space(57, np.pi), 0.1, 1.5), ["SuperLU"] * 2),
     ], ids=["fem57", "fdm32", "fem150", "fdm101", "fem57-rho1.5"])
     def test_benchmark_grids(self, build, want, factored):
@@ -462,7 +537,7 @@ class TestFactorChoice:
     @pytest.mark.parametrize("n", [8, 32])
     def test_fdm_schur_band_matches_superlu(self, n, factored, monkeypatch):
         dt, rho = 0.2, 2.5
-        A = fdm_schur(n, dt, rho)
+        A = fdm_schur(n, dt, rho)[0].tocsc()
         B = np.random.default_rng(n).standard_normal((n * n, 3))
         band = SpdFactorization(A)
         monkeypatch.setattr(linalg, "_BAND_ENTRIES", 0)

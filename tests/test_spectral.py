@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from platenull.core import StatePair, euclidean_sq
-from platenull.fdm import FdGrid, FdmStepper, build_dn
+from platenull.fdm import FdGrid, FdmStepper, build_dn, dn_eigenvalues
 from platenull.fem import FemStepper, build_fem_space
 from platenull.spectral import Mode, evaluate_modal_sum, exact_test_solution, modal_evolve
 
@@ -179,7 +179,7 @@ class TestSchemesAgainstClosedForm:
         def discretize(n, dt):
             grid = FdGrid(n=n, a=math.pi)
             x, y = grid.points()
-            return x, y, FdmStepper(build_dn(grid), dt, rho), euclidean_sq
+            return x, y, FdmStepper(build_dn(grid), dt, rho, dn_eigenvalues(grid)), euclidean_sq
 
         errs = self.relative_errors(rho, mode, discretize)
         assert errs[0] > errs[1] > errs[2]
