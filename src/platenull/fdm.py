@@ -15,7 +15,11 @@ by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD.
 Nothing is factored.  The sine transform diagonalizes D, so the stiffness
 solves of the control go through :class:`platenull.linalg.SineSolver`, and
 the Schur solves of the step through its refined variant, with the
-eigenvalues 1 + rho*dt*lam + (dt*lam)^2.
+eigenvalues 1 + rho*dt*lam + (dt*lam)^2.  That variant refines against the
+assembled Schur matrix only where the eigenvalues' condition number kappa
+makes kappa*eps exceed 1e-10: at n = 101, dt = 0.25 (3.9e-10), but at none
+of the n = 32 benchmark grids (3.2e-12 at dt = 0.2, 1.1e-12 at dt = 0.1,
+6e-16 at dt = 1/1536).
 """
 
 from __future__ import annotations
@@ -111,8 +115,10 @@ class FdmStepper:
     """One implicit-Euler step of the coupled system, solved in the sine basis.
 
     ``eigenvalues`` are those of D on its grid, as :func:`dn_eigenvalues`
-    returns them.  The Schur solve is a sine-transform solve refined once
-    against the assembled Schur matrix, whose backward error it checks.
+    returns them.  The Schur solve is a sine-transform solve, refined once
+    against the assembled Schur matrix when its condition number calls for
+    it (see :class:`platenull.linalg.RefinedSineSolver`); its backward error
+    is checked against that matrix either way.
     The homogeneous and the controlled step share it; the controlled step
     with u = None is bitwise the homogeneous one.  States and controls are
     (N,) vectors or (N, k) blocks of k columns.
@@ -128,7 +134,7 @@ class FdmStepper:
         dtD = dt * self.dn
         schur = (sp.identity(dn.shape[0]) + rho * dtD + dtD @ dtD).tocsr()
         dt_lam = dt * eigenvalues
-        with np.errstate(over="ignore"):  # an overflowing eigenvalue fails the solve's check
+        with np.errstate(over="ignore"):  # the solver rejects an eigenvalue that overflows
             mu = 1.0 + rho * dt_lam + dt_lam * dt_lam
         self._schur = RefinedSineSolver(schur, mu)
 

@@ -203,7 +203,8 @@ class SineSolver:
     some n where 2(n+1) has only small prime factors (by up to 1.9x at
     n <= 300).  ``A`` itself is kept for the backward-error
     check, so a wrong eigenvalue or a matrix the transform does not
-    diagonalize fails like a bad factorization.
+    diagonalize fails like a bad factorization; eigenvalues that are not
+    all finite, as from a matrix that overflows, raise LinAlgError here.
     """
 
     def __init__(self, A: sp.spmatrix, eigenvalues: np.ndarray):
@@ -212,6 +213,10 @@ class SineSolver:
         if eigenvalues.shape != (n, n) or n * n != A.shape[0]:
             raise ValueError(f"eigenvalues of shape {eigenvalues.shape} do not "
                              f"match a grid of {A.shape[0]} unknowns")
+        if not np.isfinite(eigenvalues).all():
+            raise np.linalg.LinAlgError(
+                f"{np.count_nonzero(~np.isfinite(eigenvalues))} of {eigenvalues.size} "
+                "eigenvalues are not finite: the matrix overflows double precision")
         self.A = A
         self.n = A.shape[0]
         self._norm = spla.norm(A, np.inf)
@@ -250,32 +255,45 @@ class SineSolver:
         return x
 
 
-# Steps of iterative refinement in RefinedSineSolver, measured on the five
-# FDM benchmark tables against the factored Schur solve they replace (one
-# BLAS thread of a 2-core Xeon).  With none, fdm101-dt0.25 moved by 1.47e-10
-# in energy and 2.6e-11 in control norm, past the benchmark's 1e-10; one
-# kept every table within 4.1e-12 and 1.6e-12; two came within 1.6e-12 and
-# 3.7e-13, but an fdm-acceptance pass took 0.36 s against 0.30 s with one,
-# as long as with the factored solve.
-_REFINEMENTS = 1
+# RefinedSineSolver refines where the transform solve's forward-error bound
+# kappa eps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# sec. 7.1 and ch. 12), with kappa = max |eigenvalue| / min |eigenvalue| and
+# eps = 2^-52, exceeds 1e-10, the tolerance at which two backends' tables
+# count as equal.  For the FDM Schur matrices of the benchmark kappa eps is
+# 3.2e-12, 1.1e-12 and 6e-16 at n = 32 and dt = 0.2, 0.1 and 1/1536, and
+# 3.9e-10 at n = 101, dt = 0.25.  Unrefined, that table moved by 1.47e-10 in
+# energy from the factored solve of the assembled matrix; refined once, by
+# 4.1e-12.  On fdm32-dt0.2, whose datum is one sine mode, the energies
+# refined once sat 2.7e-12 to 1.3e-11 from a 40-digit modal recurrence, and
+# unrefined 2.1e-14 to 1.0e-13.
+_REFINE_ABOVE = 1e-10
 
 
 class RefinedSineSolver(SineSolver):
-    """:class:`SineSolver` refined against the assembled matrix ``A``.
+    """:class:`SineSolver` refined against the assembled matrix ``A`` where needed.
 
     When ``A`` is assembled from D by sparse products, as the FDM Schur
     matrix I + rho dt D + (dt D)^2 is, rounding in its entries moves its
     action on the smooth modes away from the closed-form eigenvalues (by
     up to 1e-10 relative at n = 101, dt = 0.25).  A step of iterative
     refinement, x -= Q diag(1 / eigenvalues) Q (A x - b), solves the
-    assembled matrix itself, as a factorization of it would.  The result
-    is C-contiguous.
+    assembled matrix itself, as a factorization of it would.  It runs only
+    when kappa eps > ``_REFINE_ABOVE``, kappa being the eigenvalues'
+    condition number, fixed at construction; otherwise the result is the
+    plain transform solve's, closer to the closed-form eigenvalues.  The
+    result is C-contiguous.
     """
+
+    def __init__(self, A: sp.spmatrix, eigenvalues: np.ndarray):
+        super().__init__(A, eigenvalues)
+        magnitudes = np.abs(eigenvalues)
+        kappa = magnitudes.max() / magnitudes.min()
+        self._refines = kappa * np.finfo(float).eps > _REFINE_ABOVE
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         _check_rhs(b, self.n)
         x = np.ascontiguousarray(self._transform_solve(b))
-        for _ in range(_REFINEMENTS):
+        if self._refines:
             r = self.A @ x
             r -= b
             x -= self._transform_solve(r)

@@ -475,13 +475,17 @@ class TestCli:
     @pytest.mark.filterwarnings("error", "ignore:dt = .* damping time scale")
     @pytest.mark.parametrize("flag,value", [("--side", "1e-150"), ("--rho", "1e300")])
     def test_overflowing_schur_matrix_exit_code(self, flag, value, capsys):
-        # (dt D)^2 or rho dt D leaves the float range: a solve's backward-error check fails
+        # at side 1e-150 every (dt lam)^2 overflows, and the Schur solver is refused at
+        # construction; at rho 1e300 the second step's solution underflows to zero,
+        # which fails the solve's backward-error check
         code = main(["--n", "4", "--dt", "0.1", "--t-list", "1", flag, value])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("solver failure:"), captured.err
+        if flag == "--side":
+            assert "eigenvalues are not finite: the matrix overflows" in lines[0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dt", ["1.7e-17", repr(1 / (2**23 + 1))])

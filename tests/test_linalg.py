@@ -48,6 +48,26 @@ def run_fdm_tables(n):
 
 
 @pytest.fixture
+def transforms(monkeypatch):
+    """Number of sine-transform solves run while the test runs, in a one-item list."""
+    count = [0]
+    transform_solve = SineSolver._transform_solve
+
+    def spy(self, b):
+        count[0] += 1
+        return transform_solve(self, b)
+
+    monkeypatch.setattr(SineSolver, "_transform_solve", spy)
+    return count
+
+
+def kappa_eps(eigenvalues):
+    """The transform solve's forward-error bound: condition number times 2^-52."""
+    magnitudes = np.abs(eigenvalues)
+    return magnitudes.max() / magnitudes.min() * np.finfo(float).eps
+
+
+@pytest.fixture
 def factored(monkeypatch):
     """Type names of the factors that factor_spd returns while the test runs."""
     names = []
@@ -238,7 +258,10 @@ class TestBackwardErrorAtEveryScale:
     """Each solver's check accepts its own solve and rejects a wrong one at any scale.
 
     The wrong solvers factor twice the matrix, or divide by doubled
-    eigenvalues (which one refinement step leaves a quarter off).  The SPD
+    eigenvalues, which leaves the plain transform solve half off and one
+    step of refinement a quarter off.  The refined solver refines only where
+    kappa eps > 1e-10: not at n=8 (kappa eps = 2.0e-14, ``refined``), but at
+    n=64, dt = 1 (2.6e-10, ``refined64``).  The SPD
     and split-step factors come from ``factor_spd``, which is wrapped: band
     Cholesky at n=8 and rho = 2.5, SuperLU for the complex split factors of
     rho = 1.5.  ``BlockSolver`` calls SuperLU itself.  Squared entries
@@ -252,11 +275,12 @@ class TestBackwardErrorAtEveryScale:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
-    @pytest.mark.parametrize("kind", ["spd", "sine", "refined", "block", "split", "split1.5"])
-    def test_check_holds_at_every_scale(self, kind, wrong, monkeypatch, factored):
-        grid = FdGrid(n=8, a=np.pi)
+    @pytest.mark.parametrize("kind", ["spd", "sine", "refined", "refined64", "block", "split",
+                                      "split1.5"])
+    def test_check_holds_at_every_scale(self, kind, wrong, monkeypatch, factored, transforms):
+        grid = FdGrid(n=64 if kind == "refined64" else 8, a=np.pi)
         D, eye = build_dn(grid), sp.identity(grid.N, format="csr")
-        dt, rho = 0.2, (1.5 if kind == "split1.5" else 2.5)
+        dt, rho = (1.0 if kind == "refined64" else 0.2), (1.5 if kind == "split1.5" else 2.5)
         if wrong and kind == "block":
             splu = spla.splu
             monkeypatch.setattr(spla, "splu", lambda A, **kw: splu(2 * A, **kw))
@@ -267,7 +291,7 @@ class TestBackwardErrorAtEveryScale:
             solve = SpdFactorization(D).solve
         elif kind == "sine":
             solve = SineSolver(D, (2.0 if wrong else 1.0) * dn_eigenvalues(grid)).solve
-        elif kind == "refined":
+        elif kind.startswith("refined"):
             solve = RefinedSineSolver(*fdm_schur(grid.n, dt, rho, wrong)).solve
         else:
             step = (BlockSolver(eye, -dt * D, dt * D, eye + rho * dt * D) if kind == "block"
@@ -282,6 +306,8 @@ class TestBackwardErrorAtEveryScale:
                     solve(scale * b)
             else:
                 solve(scale * b)
+        if kind.startswith("refined"):  # one transform solve per scale, two if refined
+            assert transforms[0] == (2 if kind == "refined64" else 1) * len(self.SCALES)
 
 
 class TestSineSolver:
@@ -348,33 +374,51 @@ class TestSineSolver:
         with pytest.raises(ValueError):
             SineSolver(build_dn(FdGrid(n=4, a=1.0)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_eigenvalues(self, bad):
+        grid = FdGrid(n=4, a=1.0)
+        lam = dn_eigenvalues(grid)
+        lam[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="1 of 16 eigenvalues are not finite"):
+            SineSolver(build_dn(grid), lam)
+
 
 class TestRefinedSineSolver:
     """The FDM Schur solve against band Cholesky (n=32) and SuperLU (n=101) of the same matrix.
 
-    Bounds on the relative distance to the factored solve, from a first run
-    on one BLAS thread: refined 1.0e-13 at n=32 and 2.6e-12 at n=101, and
-    the plain transform 4.7e-13 and 0.93-1.3e-10.  At n=101 the assembled
-    (dt D)^2 acts on the smooth modes 1e-10 away from the closed-form
-    eigenvalues, and the refinement step closes that gap.
+    At n=32, dt = 0.2, kappa eps = 3.2e-12 calls for no refinement: the
+    solve is the plain transform's, bitwise, and its relative distance to
+    the factored solve is bounded by kappa eps (1.6e-13 for one column and
+    4.7e-13 for three on one BLAS thread).  At n=101, dt = 0.25, kappa eps =
+    3.9e-10, and the assembled (dt D)^2 acts on the smooth modes 1e-10 away
+    from the closed-form eigenvalues; one refinement step closes that gap.
+    Bounds there, from a first run on one BLAS thread: refined 2.6e-12, the
+    plain transform 0.93-1.3e-10.
     """
 
     @pytest.mark.parametrize("n,dt,refined_tol,plain_min", [
-        (32, 0.2, 3e-13, 0.0), (101, 0.25, 1e-11, 3e-11)], ids=["fdm32", "fdm101"])
+        (32, 0.2, None, None), (101, 0.25, 1e-11, 3e-11)], ids=["fdm32", "fdm101"])
     @pytest.mark.parametrize("k", [1, 3], ids=["vector", "block"])
     def test_matches_factorization_of_the_assembled_matrix(self, n, dt, refined_tol,
-                                                          plain_min, k, factored):
+                                                          plain_min, k, factored, transforms):
         S, mu = fdm_schur(n, dt)
         B = np.random.default_rng(n).standard_normal((n * n, 3))
         b = B[:, 1] if k == 1 else B
         want = SpdFactorization(S).solve(b)
         assert factored == ["_BandCholesky" if n == 32 else "SuperLU"]
         refined = RefinedSineSolver(S, mu).solve(b)
+        refined_transforms = transforms[0]
         plain = SineSolver(S, mu).solve(b)
         assert refined.shape == b.shape and refined.flags.c_contiguous
         gap = np.linalg.norm(refined - want) / np.linalg.norm(want)
-        assert gap <= refined_tol
-        assert np.linalg.norm(plain - want) / np.linalg.norm(want) >= plain_min
+        if refined_tol is None:  # unrefined
+            assert refined_transforms == 1
+            np.testing.assert_array_equal(refined, plain)
+            assert gap <= kappa_eps(mu)
+        else:
+            assert refined_transforms == 2
+            assert gap <= refined_tol
+            assert np.linalg.norm(plain - want) / np.linalg.norm(want) >= plain_min
 
     def test_block_columns_equal_single_solves(self):
         S, mu = fdm_schur(8)
