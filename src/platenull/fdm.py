@@ -13,13 +13,9 @@ One implicit time step of the coupled system solves
 
 by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD.
 Nothing is factored.  The sine transform diagonalizes D, so the stiffness
-solves of the control go through :class:`platenull.linalg.SineSolver`, and
-the Schur solves of the step through its refined variant, with the
-eigenvalues 1 + rho*dt*lam + (dt*lam)^2.  That variant refines against the
-assembled Schur matrix only where the eigenvalues' condition number kappa
-makes kappa*eps exceed 1e-10: at n = 101, dt = 0.25 (3.9e-10), but at none
-of the n = 32 benchmark grids (3.2e-12 at dt = 0.2, 1.1e-12 at dt = 0.1,
-6e-16 at dt = 1/1536).
+solves of the control and the Schur solves of the step, with the
+eigenvalues 1 + rho*dt*lam + (dt*lam)^2, both go through
+:class:`platenull.linalg.SineSolver`.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step
-from .linalg import RefinedSineSolver, SineSolver, SpdFactorization
+from .linalg import SineSolver, SpdFactorization
 from .march import InitialDatum, Scheme, TwinSource, march, sample
 
 __all__ = [
@@ -115,13 +111,9 @@ class FdmStepper:
     """One implicit-Euler step of the coupled system, solved in the sine basis.
 
     ``eigenvalues`` are those of D on its grid, as :func:`dn_eigenvalues`
-    returns them.  The Schur solve is a sine-transform solve, refined once
-    against the assembled Schur matrix when its condition number calls for
-    it (see :class:`platenull.linalg.RefinedSineSolver`); its backward error
-    is checked against that matrix either way.
-    The homogeneous and the controlled step share it; the controlled step
-    with u = None is bitwise the homogeneous one.  States and controls are
-    (N,) vectors or (N, k) blocks of k columns.
+    returns them.  The homogeneous and the controlled step share the Schur
+    solve; the controlled step with u = None is bitwise the homogeneous
+    one.  States and controls are (N,) vectors or (N, k) blocks of k columns.
     """
 
     def __init__(self, dn: sp.spmatrix, dt: float, rho: float, eigenvalues: np.ndarray):
@@ -136,7 +128,7 @@ class FdmStepper:
         dt_lam = dt * eigenvalues
         with np.errstate(over="ignore"):  # the solver rejects an eigenvalue that overflows
             mu = 1.0 + rho * dt_lam + dt_lam * dt_lam
-        self._schur = RefinedSineSolver(schur, mu)
+        self._schur = SineSolver(schur, mu)
 
     def step(self, state: StatePair, u: np.ndarray | None = None) -> StatePair:
         rhs = self.dn @ state.v  # b2 - dt D v, then v + dt D w+, each formed in place

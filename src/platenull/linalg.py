@@ -27,7 +27,6 @@ from .core import check_finite_positive
 __all__ = [
     "SpdFactorization",
     "SineSolver",
-    "RefinedSineSolver",
     "BlockSolver",
     "SplitStepSolver",
 ]
@@ -39,7 +38,7 @@ _BLOCK_RESIDUAL_TOL = 1e-10
 # of k = 1 to 7 columns by the band took 0.45-0.85 times SuperLU's time for
 # the n=57 FEM step factors (191,691 entries), but 1.1-1.6 times for the
 # n=150 FEM factors (3.4M).  No FDM matrix is factored: the FDM Schur
-# matrix is solved by RefinedSineSolver.
+# matrix is solved by SineSolver.
 _BAND_ENTRIES = 1 << 19
 
 
@@ -73,13 +72,17 @@ def _check_backward_error(r: np.ndarray | tuple, x: np.ndarray | tuple,
 
     ``norm`` is ||A||, the operator infinity-norm (largest absolute row sum);
     r, x and b may each be a tuple of row blocks, as :func:`_column_norms` takes.
+    A failing column with x = 0 for a nonzero b is reported as an underflow.
     """
-    err = _column_norms(r)
-    scale = norm * _column_norms(x) + _column_norms(b)
+    err, x_norms, b_norms = _column_norms(r), _column_norms(x), _column_norms(b)
+    scale = norm * x_norms + b_norms
     ok = err <= tol * scale  # False for NaN
     if not ok.all():
+        bad = ~np.atleast_1d(ok)
         with np.errstate(divide="ignore", invalid="ignore"):
-            worst = np.max(np.atleast_1d(err / scale)[~np.atleast_1d(ok)])
+            worst = np.max(np.atleast_1d(err / scale)[bad])
+        if np.any(bad & (np.atleast_1d(x_norms) == 0) & (np.atleast_1d(b_norms) > 0)):
+            hint = "; the solution underflows double precision (it is zero for a nonzero b)"
         raise np.linalg.LinAlgError(
             f"{what} backward error {worst:.3e} exceeds {tol:.0e}{hint}")
 
@@ -189,6 +192,20 @@ class SpdFactorization:
         return x
 
 
+# SineSolver refines once where the transform solve's forward-error bound
+# kappa eps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# sec. 7.1 and ch. 12) exceeds 1e-10, the tolerance at which two backends'
+# tables count as equal; kappa = max |eigenvalue| / min |eigenvalue|, eps = 2^-52.
+# Measured kappa eps: the FDM Schur matrices read 3.9e-10 at n = 101, dt = 0.25,
+# the one benchmark solver that refines, and 3.2e-12, 1.1e-12 and 6e-16 at
+# n = 32, dt = 0.2, 0.1 and 1/1536; the stiffness matrices read 9.8e-14,
+# 3.0e-13, 9.4e-13 and 2.1e-12 at n = 32, 57, 101 and 150 (1e-10 near n = 1050).
+# Unrefined, fdm101-dt0.25 moved 1.47e-10 in energy from a factored solve of the
+# assembled matrix, refined 4.1e-12.  The energies of fdm32-dt0.2, a one-mode
+# datum, sit up to 1.0e-13 from a 40-digit modal recurrence unrefined, 1.3e-11 refined.
+_REFINE_ABOVE = 1e-10
+
+
 class SineSolver:
     """Solver for a matrix that the 2D sine transform diagonalizes.
 
@@ -196,15 +213,18 @@ class SineSolver:
     equals Q diag(eigenvalues) Q with Q the orthonormal DST-I, which is its
     own inverse; entry [q-1, p-1] of the (n, n) ``eigenvalues`` belongs to
     the mode sin(p pi x/a) sin(q pi y/a).  A solve is a transform, a
-    division and a transform, and a transform is two dense products
-    Q G Q with the n x n matrix Q, built once.  On one thread these beat
-    scipy's FFT-based DST-I at every n from 32 to 118 and at every grid the
-    benchmark runs (n = 32, 57, 101, 150); from n = 119 on, the FFT wins at
-    some n where 2(n+1) has only small prime factors (by up to 1.9x at
-    n <= 300).  ``A`` itself is kept for the backward-error
-    check, so a wrong eigenvalue or a matrix the transform does not
-    diagonalize fails like a bad factorization; eigenvalues that are not
-    all finite, as from a matrix that overflows, raise LinAlgError here.
+    division and a transform, and a transform is two dense products Q G Q
+    with the n x n matrix Q, built once.  On one thread these beat scipy's
+    FFT-based DST-I at every n from 32 to 118 and at n = 150; the FFT wins
+    at some larger n (by up to 1.9x at n <= 300).  Where kappa eps exceeds
+    ``_REFINE_ABOVE``, as for the FDM Schur matrix of n = 101, dt = 0.25,
+    whose assembled entries act on the smooth modes up to 1e-10 away from
+    the closed-form eigenvalues, each solve takes one refinement step
+    x -= Q diag(1 / eigenvalues) Q (A x - b).  ``A`` is kept for the
+    backward-error check, so a wrong eigenvalue or a matrix the transform
+    does not diagonalize fails like a bad factorization; eigenvalues that
+    are not all finite (a matrix that overflows) or not all nonzero raise
+    LinAlgError here.  The result is C-contiguous.
     """
 
     def __init__(self, A: sp.spmatrix, eigenvalues: np.ndarray):
@@ -217,6 +237,13 @@ class SineSolver:
             raise np.linalg.LinAlgError(
                 f"{np.count_nonzero(~np.isfinite(eigenvalues))} of {eigenvalues.size} "
                 "eigenvalues are not finite: the matrix overflows double precision")
+        magnitudes = np.abs(eigenvalues)
+        if magnitudes.min() == 0:
+            raise np.linalg.LinAlgError(
+                f"{np.count_nonzero(magnitudes == 0)} of {eigenvalues.size} "
+                "eigenvalues are zero: the matrix is singular")
+        # kappa eps > _REFINE_ABOVE, multiplied out so that no quotient overflows
+        self._refines = magnitudes.max() * np.finfo(float).eps > _REFINE_ABOVE * magnitudes.min()
         self.A = A
         self.n = A.shape[0]
         self._norm = spla.norm(A, np.inf)
@@ -226,7 +253,7 @@ class SineSolver:
         self._Q = math.sqrt(2.0 / (n + 1)) * np.sin(jk * (math.pi / (n + 1)))
 
     def _transform_solve(self, b: np.ndarray) -> np.ndarray:
-        """Q diag(1 / eigenvalues) Q b, unchecked, in the shape of b.
+        """Q diag(1 / eigenvalues) Q b, unchecked and unrefined, in the shape of b.
 
         The transforms run in two blocks of k grids, one of which returns
         as the result: a view, in Fortran order for a block of k > 1 columns.
@@ -241,63 +268,19 @@ class SineSolver:
         np.matmul(work, Q, out=grids)
         return grids.reshape(k, self.n).T.reshape(b.shape)
 
-    def _check(self, x: np.ndarray, b: np.ndarray) -> None:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        _check_rhs(b, self.n)
+        # in C order, as the march holds blocks: the products with A after copy none
+        x = np.ascontiguousarray(self._transform_solve(b))
         r = self.A @ x
         r -= b
+        if self._refines:
+            x -= self._transform_solve(r)
+            r = self.A @ x
+            r -= b
         _check_backward_error(r, x, b, self._norm, _SPD_RESIDUAL_TOL,
                               "sine solve", "; the matrix is likely not diagonal in "
                               "the sine basis with these eigenvalues")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        _check_rhs(b, self.n)
-        x = self._transform_solve(b)
-        self._check(x, b)
-        return x
-
-
-# RefinedSineSolver refines where the transform solve's forward-error bound
-# kappa eps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-# sec. 7.1 and ch. 12), with kappa = max |eigenvalue| / min |eigenvalue| and
-# eps = 2^-52, exceeds 1e-10, the tolerance at which two backends' tables
-# count as equal.  For the FDM Schur matrices of the benchmark kappa eps is
-# 3.2e-12, 1.1e-12 and 6e-16 at n = 32 and dt = 0.2, 0.1 and 1/1536, and
-# 3.9e-10 at n = 101, dt = 0.25.  Unrefined, that table moved by 1.47e-10 in
-# energy from the factored solve of the assembled matrix; refined once, by
-# 4.1e-12.  On fdm32-dt0.2, whose datum is one sine mode, the energies
-# refined once sat 2.7e-12 to 1.3e-11 from a 40-digit modal recurrence, and
-# unrefined 2.1e-14 to 1.0e-13.
-_REFINE_ABOVE = 1e-10
-
-
-class RefinedSineSolver(SineSolver):
-    """:class:`SineSolver` refined against the assembled matrix ``A`` where needed.
-
-    When ``A`` is assembled from D by sparse products, as the FDM Schur
-    matrix I + rho dt D + (dt D)^2 is, rounding in its entries moves its
-    action on the smooth modes away from the closed-form eigenvalues (by
-    up to 1e-10 relative at n = 101, dt = 0.25).  A step of iterative
-    refinement, x -= Q diag(1 / eigenvalues) Q (A x - b), solves the
-    assembled matrix itself, as a factorization of it would.  It runs only
-    when kappa eps > ``_REFINE_ABOVE``, kappa being the eigenvalues'
-    condition number, fixed at construction; otherwise the result is the
-    plain transform solve's, closer to the closed-form eigenvalues.  The
-    result is C-contiguous.
-    """
-
-    def __init__(self, A: sp.spmatrix, eigenvalues: np.ndarray):
-        super().__init__(A, eigenvalues)
-        magnitudes = np.abs(eigenvalues)
-        kappa = magnitudes.max() / magnitudes.min()
-        self._refines = kappa * np.finfo(float).eps > _REFINE_ABOVE
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        _check_rhs(b, self.n)
-        x = np.ascontiguousarray(self._transform_solve(b))
-        if self._refines:
-            r = self.A @ x
-            r -= b
-            x -= self._transform_solve(r)
-        self._check(x, b)
         return x
 
 

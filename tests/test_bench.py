@@ -477,7 +477,7 @@ class TestCli:
     def test_overflowing_schur_matrix_exit_code(self, flag, value, capsys):
         # at side 1e-150 every (dt lam)^2 overflows, and the Schur solver is refused at
         # construction; at rho 1e300 the second step's solution underflows to zero,
-        # which fails the solve's backward-error check
+        # which fails the solve's backward-error check and is named as an underflow
         code = main(["--n", "4", "--dt", "0.1", "--t-list", "1", flag, value])
         assert code == 1
         captured = capsys.readouterr()
@@ -486,6 +486,9 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("solver failure:"), captured.err
         if flag == "--side":
             assert "eigenvalues are not finite: the matrix overflows" in lines[0]
+        else:
+            assert "the solution underflows double precision" in lines[0]
+            assert "not diagonal in the sine basis" not in lines[0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("dt", ["1.7e-17", repr(1 / (2**23 + 1))])

@@ -10,11 +10,10 @@ import scipy.sparse.linalg as spla
 
 from platenull import linalg
 from platenull.cli import main
-from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues
+from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues, fdm_scheme
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble, build_fem_space,
-                           build_structured_mesh)
-from platenull.linalg import (BlockSolver, RefinedSineSolver, SineSolver, SpdFactorization,
-                              SplitStepSolver)
+                           build_structured_mesh, make_stiffness_solver)
+from platenull.linalg import BlockSolver, SineSolver, SpdFactorization, SplitStepSolver
 
 
 def solve_spd(A, b):
@@ -259,9 +258,10 @@ class TestBackwardErrorAtEveryScale:
 
     The wrong solvers factor twice the matrix, or divide by doubled
     eigenvalues, which leaves the plain transform solve half off and one
-    step of refinement a quarter off.  The refined solver refines only where
-    kappa eps > 1e-10: not at n=8 (kappa eps = 2.0e-14, ``refined``), but at
-    n=64, dt = 1 (2.6e-10, ``refined64``).  The SPD
+    step of refinement a quarter off.  ``sine`` solves D, and ``refined``
+    and ``refined64`` the FDM Schur matrix, where the sine solver refines
+    only where kappa eps > 1e-10: not at n=8 (kappa eps = 2.0e-14,
+    ``refined``), but at n=64, dt = 1 (2.6e-10, ``refined64``).  The SPD
     and split-step factors come from ``factor_spd``, which is wrapped: band
     Cholesky at n=8 and rho = 2.5, SuperLU for the complex split factors of
     rho = 1.5.  ``BlockSolver`` calls SuperLU itself.  Squared entries
@@ -292,7 +292,7 @@ class TestBackwardErrorAtEveryScale:
         elif kind == "sine":
             solve = SineSolver(D, (2.0 if wrong else 1.0) * dn_eigenvalues(grid)).solve
         elif kind.startswith("refined"):
-            solve = RefinedSineSolver(*fdm_schur(grid.n, dt, rho, wrong)).solve
+            solve = SineSolver(*fdm_schur(grid.n, dt, rho, wrong)).solve
         else:
             step = (BlockSolver(eye, -dt * D, dt * D, eye + rho * dt * D) if kind == "block"
                     else SplitStepSolver(eye, D, dt, rho))
@@ -306,7 +306,8 @@ class TestBackwardErrorAtEveryScale:
                     solve(scale * b)
             else:
                 solve(scale * b)
-        if kind.startswith("refined"):  # one transform solve per scale, two if refined
+        if kind == "sine" or kind.startswith("refined"):
+            # one transform solve per scale, two where the solver refines
             assert transforms[0] == (2 if kind == "refined64" else 1) * len(self.SCALES)
 
 
@@ -382,18 +383,42 @@ class TestSineSolver:
         with pytest.raises(np.linalg.LinAlgError, match="1 of 16 eigenvalues are not finite"):
             SineSolver(build_dn(grid), lam)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_zero_eigenvalue(self):
+        grid = FdGrid(n=4, a=1.0)
+        lam = dn_eigenvalues(grid)
+        lam[3, 0] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="1 of 16 eigenvalues are zero"):
+            SineSolver(build_dn(grid), lam)
+
+    @pytest.mark.filterwarnings("error")
+    def test_names_a_solution_that_underflows(self):
+        # x = b / 1e300 is below the smallest subnormal for b = 1e-300, so it rounds to zero
+        sine = SineSolver(1e300 * sp.identity(16, format="csr"), np.full((4, 4), 1e300))
+        sine.solve(np.ones(16))
+        with pytest.raises(np.linalg.LinAlgError, match="solution underflows double precision"):
+            sine.solve(np.full((16, 2), 1e-300))
+
+    @pytest.mark.parametrize("scheme", ["fdm", "fem"])
+    def test_returns_c_order_blocks(self, scheme):
+        _, sine, _ = self.solver(scheme, 8)
+        B = np.random.default_rng(5).standard_normal((64, 3))
+        X = sine.solve(B)
+        assert X.flags.c_contiguous
+        np.testing.assert_array_equal(X, sine._transform_solve(B))
+
 
 class TestRefinedSineSolver:
-    """The FDM Schur solve against band Cholesky (n=32) and SuperLU (n=101) of the same matrix.
+    """SineSolver on the FDM Schur matrix, against band Cholesky (n=32) and SuperLU (n=101).
 
     At n=32, dt = 0.2, kappa eps = 3.2e-12 calls for no refinement: the
     solve is the plain transform's, bitwise, and its relative distance to
     the factored solve is bounded by kappa eps (1.6e-13 for one column and
     4.7e-13 for three on one BLAS thread).  At n=101, dt = 0.25, kappa eps =
     3.9e-10, and the assembled (dt D)^2 acts on the smooth modes 1e-10 away
-    from the closed-form eigenvalues; one refinement step closes that gap.
-    Bounds there, from a first run on one BLAS thread: refined 2.6e-12, the
-    plain transform 0.93-1.3e-10.
+    from the closed-form eigenvalues; one refinement step closes that gap,
+    which is why the solver refines there.  Bounds there, from a first run
+    on one BLAS thread: refined 2.6e-12, the plain transform 0.93-1.3e-10.
     """
 
     @pytest.mark.parametrize("n,dt,refined_tol,plain_min", [
@@ -406,23 +431,55 @@ class TestRefinedSineSolver:
         b = B[:, 1] if k == 1 else B
         want = SpdFactorization(S).solve(b)
         assert factored == ["_BandCholesky" if n == 32 else "SuperLU"]
-        refined = RefinedSineSolver(S, mu).solve(b)
-        refined_transforms = transforms[0]
-        plain = SineSolver(S, mu).solve(b)
-        assert refined.shape == b.shape and refined.flags.c_contiguous
-        gap = np.linalg.norm(refined - want) / np.linalg.norm(want)
+        solver = SineSolver(S, mu)
+        got = solver.solve(b)
+        solve_transforms = transforms[0]
+        plain = solver._transform_solve(b)
+        assert got.shape == b.shape and got.flags.c_contiguous
+        gap = np.linalg.norm(got - want) / np.linalg.norm(want)
         if refined_tol is None:  # unrefined
-            assert refined_transforms == 1
-            np.testing.assert_array_equal(refined, plain)
+            assert solve_transforms == 1
+            np.testing.assert_array_equal(got, plain)
             assert gap <= kappa_eps(mu)
         else:
-            assert refined_transforms == 2
+            assert solve_transforms == 2
             assert gap <= refined_tol
             assert np.linalg.norm(plain - want) / np.linalg.norm(want) >= plain_min
 
+    def test_refines_only_the_fdm101_schur_solve(self, monkeypatch, transforms):
+        """Over the benchmark's grids, one solve of each sine solver counts its transforms."""
+        built = []
+        init = SineSolver.__init__
+
+        def spy(self, A, eigenvalues):
+            init(self, A, eigenvalues)
+            built.append(self)
+
+        monkeypatch.setattr(SineSolver, "__init__", spy)
+        grids = {(t.scheme, t.n, float(t.dt)) for t in _benchmark_tables().values()}
+        refines = {}
+        for scheme, n, dt in sorted(grids):
+            built.clear()
+            if scheme == "fdm":
+                fdm_scheme(FdGrid(n=n, a=np.pi), dt, 2.5)
+                names = ["schur", "stiffness"]  # the stepper's first, then mu_basis
+            else:  # the stiffness solver alone: the step factors do not depend on it
+                make_stiffness_solver(build_fem_space(n, np.pi))
+                names = ["stiffness"]
+            assert len(built) == len(names)
+            for name, solver in zip(names, built):
+                transforms[0] = 0
+                solver.solve(np.random.default_rng(n).standard_normal(solver.n))
+                refines[scheme, n, dt, name] = transforms[0] == 2
+        assert len(refines) == 12  # eight grids: four FDM, two solvers each, and four FEM
+        assert [key for key, yes in refines.items() if yes] == [("fdm", 101, 0.25, "schur")]
+        # the stiffness matrices' kappa eps grows with n and stays below 1e-10 up to n = 150
+        bounds = [kappa_eps(dn_eigenvalues(FdGrid(n=n, a=np.pi))) for n in range(1, 151)]
+        assert bounds == sorted(bounds) and bounds[-1] < linalg._REFINE_ABOVE
+
     def test_block_columns_equal_single_solves(self):
         S, mu = fdm_schur(8)
-        solver = RefinedSineSolver(S, mu)
+        solver = SineSolver(S, mu)
         B = np.random.default_rng(6).standard_normal((64, 3))
         X = solver.solve(B)
         for c in range(3):
@@ -430,10 +487,10 @@ class TestRefinedSineSolver:
             assert np.linalg.norm(X[:, c] - x) <= 1e-14 * np.linalg.norm(x)
 
     def test_leaves_the_right_hand_side_alone(self):
-        S, mu = fdm_schur(8)
-        b = np.random.default_rng(7).standard_normal((64, 2))
+        S, mu = fdm_schur(101, 0.25)  # a solver that refines
+        b = np.random.default_rng(7).standard_normal((101 * 101, 2))
         kept = b.copy()
-        RefinedSineSolver(S, mu).solve(b)
+        SineSolver(S, mu).solve(b)
         np.testing.assert_array_equal(b, kept)
 
 
