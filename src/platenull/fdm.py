@@ -12,10 +12,10 @@ One implicit time step of the coupled system solves
     w+ + dt*D (v+ + rho w+) = dt*u + w,
 
 by eliminating v+: the Schur matrix I + rho*dt*D + (dt*D)^2 is SPD.
-Nothing is factored.  The sine transform diagonalizes D, so the stiffness
-solves of the control and the Schur solves of the step, with the
-eigenvalues 1 + rho*dt*lam + (dt*lam)^2, both go through
-:class:`platenull.linalg.SineSolver`.
+Nothing is factored.  The orthonormal DST-I diagonalizes D, so a step on sine
+coefficients divides by the Schur eigenvalues 1 + rho*dt*lam + (dt*lam)^2.  Where
+they call for refinement (``linalg.needs_refinement``), states are grid values
+and :class:`platenull.linalg.SineSolver` solves the assembled Schur matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from .control import g_vector, mu_zero
 from .core import RunReport, StatePair, check_finite_positive, euclidean_sq, warn_coarse_step
-from .linalg import SineSolver, SpdFactorization
+from .linalg import Diagonal, SineSolver, SpdFactorization, needs_refinement
 from .march import InitialDatum, Scheme, TwinSource, march, sample
 
 __all__ = [
@@ -108,27 +108,32 @@ def dn_eigenvalues(grid: FdGrid) -> np.ndarray:
 
 
 class FdmStepper:
-    """One implicit-Euler step of the coupled system, solved in the sine basis.
+    """One implicit-Euler step of the coupled system, on grid values or sine coefficients.
 
-    ``eigenvalues`` are those of D on its grid, as :func:`dn_eigenvalues`
-    returns them.  The homogeneous and the controlled step share the Schur
-    solve; the controlled step with u = None is bitwise the homogeneous
-    one.  States and controls are (N,) vectors or (N, k) blocks of k columns.
+    ``eigenvalues`` are D's, as :func:`dn_eigenvalues` returns them.  Given D, the
+    step acts on grid values; given ``Diagonal(eigenvalues)`` (:meth:`in_sine_basis`),
+    on the coefficients of ``SineSolver.transform``.  The controlled step with
+    u = None is bitwise the homogeneous one.  States and controls are (N,)
+    vectors or (N, k) blocks of k columns.
     """
 
-    def __init__(self, dn: sp.spmatrix, dt: float, rho: float, eigenvalues: np.ndarray):
-        check_finite_positive("dt", dt)
-        check_finite_positive("rho", rho)
+    def __init__(self, dn: sp.spmatrix | Diagonal, dt: float, rho: float,
+                 eigenvalues: np.ndarray):
+        mu = _schur_eigenvalues(dt, rho, eigenvalues)
         warn_coarse_step(dt, rho)
-        self.dn = dn.tocsr()
-        self.dt = dt
-        self.rho = rho
-        dtD = dt * self.dn
-        schur = (sp.identity(dn.shape[0]) + rho * dtD + dtD @ dtD).tocsr()
-        dt_lam = dt * eigenvalues
-        with np.errstate(over="ignore"):  # the solver rejects an eigenvalue that overflows
-            mu = 1.0 + rho * dt_lam + dt_lam * dt_lam
-        self._schur = SineSolver(schur, mu)
+        self.dt, self.rho = dt, rho
+        if isinstance(dn, Diagonal):  # the Schur solve is a division
+            self.dn, self._schur = dn, Diagonal(mu)
+        else:
+            self.dn = dn.tocsr()
+            dtD = dt * self.dn
+            schur = (sp.identity(dn.shape[0]) + rho * dtD + dtD @ dtD).tocsr()
+            self._schur = SineSolver(schur, mu)
+
+    @classmethod
+    def in_sine_basis(cls, dt: float, rho: float, eigenvalues: np.ndarray) -> FdmStepper:
+        """The step on sine coefficients, where D is diag(eigenvalues)."""
+        return cls(Diagonal(eigenvalues), dt, rho, eigenvalues)
 
     def step(self, state: StatePair, u: np.ndarray | None = None) -> StatePair:
         rhs = self.dn @ state.v  # b2 - dt D v, then v + dt D w+, each formed in place
@@ -151,13 +156,31 @@ def fdm_control_at_step(vh_next2: np.ndarray, vh_next: np.ndarray, wh_next: np.n
     return mu0 + mu1_prime
 
 
+def _schur_eigenvalues(dt: float, rho: float, eigenvalues: np.ndarray) -> np.ndarray:
+    """1 + rho dt lam + (dt lam)^2 for the eigenvalues lam of D; dt, rho finite and positive."""
+    check_finite_positive("dt", dt)
+    check_finite_positive("rho", rho)
+    dt_lam = dt * eigenvalues
+    with np.errstate(over="ignore"):  # needs_refinement rejects an eigenvalue that overflows
+        return 1.0 + rho * dt_lam + dt_lam * dt_lam
+
+
 def fdm_scheme(grid: FdGrid, dt: float, rho: float, *, weighted: bool = False) -> Scheme:
-    """The march's view of the grid (K = D, B = I); norms h-weighted if ``weighted``."""
+    """The march's view of the grid (K = D, B = I); norms h-weighted if ``weighted``.
+
+    States are sine coefficients, or grid values where the Schur solve refines.
+    """
     dn, lam = build_dn(grid), dn_eigenvalues(grid)
     weight = grid.h**2 if weighted else 1.0
-    return Scheme(stepper=FdmStepper(dn, dt, rho, lam), mass=lambda v: v,
-                  mu_basis=SineSolver(dn, lam).solve,
-                  sq_norms=lambda X: weight * euclidean_sq(X))
+    sine = SineSolver(dn, lam)
+    parts = dict(mass=lambda v: v, sq_norms=lambda X: weight * euclidean_sq(X))
+    if needs_refinement(_schur_eigenvalues(dt, rho, lam)):
+        return Scheme(stepper=FdmStepper(dn, dt, rho, lam), mu_basis=sine.solve, **parts)
+    # every sine coefficient of the probe is nonzero, so this checked solve raises
+    # LinAlgError unless the transform diagonalizes D with these eigenvalues
+    sine.solve(sine.transform(np.ones(grid.N)))
+    stepper = FdmStepper.in_sine_basis(dt, rho, lam)
+    return Scheme(stepper=stepper, mu_basis=stepper.dn.solve, basis=sine.transform, **parts)
 
 
 def run_fdm_null_control(grid: FdGrid, dt: float, rho: float, T: float,

@@ -26,6 +26,8 @@ from .core import check_finite_positive
 
 __all__ = [
     "SpdFactorization",
+    "needs_refinement",
+    "Diagonal",
     "SineSolver",
     "BlockSolver",
     "SplitStepSolver",
@@ -192,18 +194,53 @@ class SpdFactorization:
         return x
 
 
-# SineSolver refines once where the transform solve's forward-error bound
-# kappa eps (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-# sec. 7.1 and ch. 12) exceeds 1e-10, the tolerance at which two backends'
-# tables count as equal; kappa = max |eigenvalue| / min |eigenvalue|, eps = 2^-52.
+# A sine solve refines once where its forward-error bound kappa eps (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 7.1 and ch. 12)
+# exceeds 1e-10, the tolerance at which two backends' tables count as equal;
+# kappa = max |eigenvalue| / min |eigenvalue|, eps = 2^-52.  The rule also picks
+# the FDM coordinates: grid values, with the assembled Schur matrix, only where
+# its eigenvalues call for refinement, and sine coefficients elsewhere.
 # Measured kappa eps: the FDM Schur matrices read 3.9e-10 at n = 101, dt = 0.25,
 # the one benchmark solver that refines, and 3.2e-12, 1.1e-12 and 6e-16 at
 # n = 32, dt = 0.2, 0.1 and 1/1536; the stiffness matrices read 9.8e-14,
 # 3.0e-13, 9.4e-13 and 2.1e-12 at n = 32, 57, 101 and 150 (1e-10 near n = 1050).
 # Unrefined, fdm101-dt0.25 moved 1.47e-10 in energy from a factored solve of the
-# assembled matrix, refined 4.1e-12.  The energies of fdm32-dt0.2, a one-mode
-# datum, sit up to 1.0e-13 from a 40-digit modal recurrence unrefined, 1.3e-11 refined.
+# assembled matrix, refined 4.1e-12.
 _REFINE_ABOVE = 1e-10
+
+
+def needs_refinement(eigenvalues: np.ndarray) -> bool:
+    """Whether a solve by these eigenvalues refines: kappa eps > ``_REFINE_ABOVE``.
+
+    Raises LinAlgError unless all are finite (else the matrix overflows) and nonzero.
+    """
+    overflows = (~np.isfinite(eigenvalues), "not finite: the matrix overflows double precision")
+    for bad, what in (overflows, (eigenvalues == 0, "zero: the matrix is singular")):
+        if bad.any():
+            raise np.linalg.LinAlgError(
+                f"{np.count_nonzero(bad)} of {eigenvalues.size} eigenvalues are {what}")
+    magnitudes = np.abs(eigenvalues)
+    # multiplied out so that no quotient overflows
+    return bool(magnitudes.max() * np.finfo(float).eps > _REFINE_ABOVE * magnitudes.min())
+
+
+class Diagonal:
+    """diag(d) on (N,) vectors and (N, k) blocks; ``solve`` is checked as SineSolver's."""
+
+    def __init__(self, d: np.ndarray):
+        self.d = np.ravel(d)
+        self._norm = float(np.abs(self.d).max())
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x * (self.d if x.ndim == 1 else self.d[:, None])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        _check_rhs(b, self.d.size)
+        x = b / (self.d if b.ndim == 1 else self.d[:, None])
+        r = self @ x
+        r -= b
+        _check_backward_error(r, x, b, self._norm, _SPD_RESIDUAL_TOL, "diagonal solve")
+        return x
 
 
 class SineSolver:
@@ -216,15 +253,12 @@ class SineSolver:
     division and a transform, and a transform is two dense products Q G Q
     with the n x n matrix Q, built once.  On one thread these beat scipy's
     FFT-based DST-I at every n from 32 to 118 and at n = 150; the FFT wins
-    at some larger n (by up to 1.9x at n <= 300).  Where kappa eps exceeds
-    ``_REFINE_ABOVE``, as for the FDM Schur matrix of n = 101, dt = 0.25,
-    whose assembled entries act on the smooth modes up to 1e-10 away from
-    the closed-form eigenvalues, each solve takes one refinement step
-    x -= Q diag(1 / eigenvalues) Q (A x - b).  ``A`` is kept for the
-    backward-error check, so a wrong eigenvalue or a matrix the transform
-    does not diagonalize fails like a bad factorization; eigenvalues that
-    are not all finite (a matrix that overflows) or not all nonzero raise
-    LinAlgError here.  The result is C-contiguous.
+    at some larger n (by up to 1.9x at n <= 300).  :func:`needs_refinement`
+    vets the eigenvalues and says whether each solve takes one refinement
+    step x -= Q diag(1 / eigenvalues) Q (A x - b), as for the FDM Schur matrix
+    of n = 101, dt = 0.25.  ``A`` is kept for the backward-error check, so a
+    wrong eigenvalue or a matrix the transform does not diagonalize fails
+    like a bad factorization.  The result is C-contiguous.
     """
 
     def __init__(self, A: sp.spmatrix, eigenvalues: np.ndarray):
@@ -233,17 +267,7 @@ class SineSolver:
         if eigenvalues.shape != (n, n) or n * n != A.shape[0]:
             raise ValueError(f"eigenvalues of shape {eigenvalues.shape} do not "
                              f"match a grid of {A.shape[0]} unknowns")
-        if not np.isfinite(eigenvalues).all():
-            raise np.linalg.LinAlgError(
-                f"{np.count_nonzero(~np.isfinite(eigenvalues))} of {eigenvalues.size} "
-                "eigenvalues are not finite: the matrix overflows double precision")
-        magnitudes = np.abs(eigenvalues)
-        if magnitudes.min() == 0:
-            raise np.linalg.LinAlgError(
-                f"{np.count_nonzero(magnitudes == 0)} of {eigenvalues.size} "
-                "eigenvalues are zero: the matrix is singular")
-        # kappa eps > _REFINE_ABOVE, multiplied out so that no quotient overflows
-        self._refines = magnitudes.max() * np.finfo(float).eps > _REFINE_ABOVE * magnitudes.min()
+        self._refines = needs_refinement(eigenvalues)
         self.A = A
         self.n = A.shape[0]
         self._norm = spla.norm(A, np.inf)
@@ -252,30 +276,32 @@ class SineSolver:
         jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * (n + 1))
         self._Q = math.sqrt(2.0 / (n + 1)) * np.sin(jk * (math.pi / (n + 1)))
 
-    def _transform_solve(self, b: np.ndarray) -> np.ndarray:
-        """Q diag(1 / eigenvalues) Q b, unchecked and unrefined, in the shape of b.
+    def transform(self, b: np.ndarray, divisor: np.ndarray | None = None) -> np.ndarray:
+        """Q b per grid (node values to sine coefficients, or back), or Q diag(1 / divisor) Q b.
 
-        The transforms run in two blocks of k grids, one of which returns
-        as the result: a view, in Fortran order for a block of k > 1 columns.
+        Coefficients are ordered as the flat eigenvalues.  The transforms run in
+        two blocks of k grids, one of which returns as the result: shaped as b,
+        in Fortran order for a block of k > 1 columns.
         """
         Q, side, k = self._Q, self._eigenvalues.shape[0], b.size // self.n
         grids = np.empty((k, side, side))
         grids.reshape(k, self.n)[...] = b.reshape(self.n, k).T
         work = np.matmul(Q, grids)
         np.matmul(work, Q, out=grids)
-        grids /= self._eigenvalues
-        np.matmul(Q, grids, out=work)
-        np.matmul(work, Q, out=grids)
+        if divisor is not None:
+            grids /= divisor
+            np.matmul(Q, grids, out=work)
+            np.matmul(work, Q, out=grids)
         return grids.reshape(k, self.n).T.reshape(b.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         _check_rhs(b, self.n)
         # in C order, as the march holds blocks: the products with A after copy none
-        x = np.ascontiguousarray(self._transform_solve(b))
+        x = np.ascontiguousarray(self.transform(b, self._eigenvalues))
         r = self.A @ x
         r -= b
         if self._refines:
-            x -= self._transform_solve(r)
+            x -= self.transform(r, self._eigenvalues)
             r = self.A @ x
             r -= b
         _check_backward_error(r, x, b, self._norm, _SPD_RESIDUAL_TOL,

@@ -61,12 +61,18 @@ _TWIN_BLOCK_ENTRIES = 1 << 14
 
 @dataclass(frozen=True)
 class Scheme:
-    """What the march needs of one discretization at one dt."""
+    """What the march needs of one discretization at one dt.
+
+    ``basis``, if given, maps node values to the coordinates the other members act
+    on, and back (it is its own inverse, as the FDM sine transform is): the march
+    applies it to the data and twin blocks, and to the terminal states and controls.
+    """
 
     stepper: object  # FdmStepper or FemStepper: dt, rho, step on (N,) or (N, k) blocks
     mass: Callable[[np.ndarray], np.ndarray]      # v -> B v
     mu_basis: Callable[[np.ndarray], np.ndarray]  # B v -> K^{-1} B v
     sq_norms: Callable[[np.ndarray], np.ndarray]  # squared state norm of every column
+    basis: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def steps_for(T: float, dt: float) -> int:
@@ -87,7 +93,7 @@ def _columns(state: StatePair, cols: int | slice) -> StatePair:
                        for x in (state.v, state.w, state.msv)))
 
 
-def _twin_levels(scheme: Scheme, twin: Callable, dt: float, M: int, N: int):
+def _twin_levels(scheme: Scheme, basis: Callable, twin: Callable, dt: float, M: int, N: int):
     """Levels 1..M of a closed-form twin, each as (StatePair, K^{-1} B v_h).
 
     Each block of levels is one call of ``twin`` and one ``mu_basis`` solve.
@@ -99,6 +105,7 @@ def _twin_levels(scheme: Scheme, twin: Callable, dt: float, M: int, N: int):
         if np.shape(v) != (N, len(times)) or np.shape(w) != (N, len(times)):
             raise ValueError(f"twin must map L times to (N, L) = ({N}, {len(times)}) "
                              f"blocks (v_h, w_h), got {np.shape(v)} and {np.shape(w)}")
+        v, w = basis(v), basis(w)
         z = scheme.mu_basis(scheme.mass(v))
         for c in range(v.shape[1]):
             yield StatePair(v=v[:, c], w=w[:, c]), z[:, c]
@@ -115,6 +122,8 @@ def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[flo
     """
     if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(w0))):
         raise ValueError("initial data must be finite at every node")
+    basis = scheme.basis or (lambda x: x)
+    v0, w0 = basis(v0), basis(w0)
     discrete = twin == "discrete"
     if not (discrete or callable(twin)):
         raise ValueError(f"twin must be 'discrete' or a callable, got {twin!r}")
@@ -133,16 +142,16 @@ def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[flo
     weights = np.zeros((M, 2, off + K))
     weights[:, 0, off:], weights[:, 1, off:] = -f_weight(t, T), -f_weight_prime(t, T)
 
-    def with_basis(level: StatePair) -> tuple[StatePair, np.ndarray]:
+    def with_z(level: StatePair) -> tuple[StatePair, np.ndarray]:
         """A twin level and its K^{-1} B v, with B v from the step's carried product if any."""
         return level, scheme.mu_basis(scheme.mass(level.v) if level.msv is None
                                       else level.msv[:N])
 
     if discrete:  # twin levels j + 1 (here) and j + 2 (ahead), for j = 0
         here = scheme.stepper.step(StatePair(v=v0, w=w0))
-        (here, z_here), (ahead, z_ahead) = with_basis(here), with_basis(scheme.stepper.step(here))
+        (here, z_here), (ahead, z_ahead) = with_z(here), with_z(scheme.stepper.step(here))
     else:
-        levels = _twin_levels(scheme, twin, dt, M, N)
+        levels = _twin_levels(scheme, basis, twin, dt, M, N)
         (here, z_here), (ahead, z_ahead) = next(levels), next(levels)
 
     # The running columns are the riding twin (discrete only), then the
@@ -175,15 +184,16 @@ def march(scheme: Scheme, v0: np.ndarray, w0: np.ndarray, horizons: Sequence[flo
         state = scheme.stepper.step(state, U)
         here, z_here = ahead, z_ahead
         if j + 2 < M:  # level M + 1 would only meet f_T(T) = 0 at the last step
-            ahead, z_ahead = with_basis(_columns(state, 0)) if discrete else next(levels)
+            ahead, z_ahead = with_z(_columns(state, 0)) if discrete else next(levels)
     V_end[:, :held[1] - off], W_end[:, :held[1] - off] = state.v, state.w
 
     energies = energy(StatePair(v=V_end, w=W_end), scheme.sq_norms)
+    V_end, W_end = basis(V_end), basis(W_end)
     results: list = [None] * K
     for c, idx in enumerate(order):
         report = RunReport(terminal_energy=float(energies[c]),
                            control_norm=math.sqrt(dt * float(sq_controls[c])))
-        controls = kept[c, :m[c]] if keep_controls else None
+        controls = basis(kept[c, :m[c]].T).T if keep_controls else None
         terminal = StatePair(v=V_end[:, c].copy(), w=W_end[:, c].copy())
         results[idx] = (report, controls, terminal)
     return results

@@ -42,6 +42,12 @@ class FdmBlockStep:
 
 
 @pytest.fixture
+def fdm_block_step():
+    """The FDM block-LU step class, with nothing patched."""
+    return FdmBlockStep
+
+
+@pytest.fixture
 def use_fdm_block_step(monkeypatch):
     """Make every FdmStepper built in the test step by the block LU; returns that class."""
     monkeypatch.setattr(fdm, "FdmStepper", FdmBlockStep)

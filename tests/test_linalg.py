@@ -13,7 +13,7 @@ from platenull.cli import main
 from platenull.fdm import FdGrid, build_dn, dn_eigenvalue, dn_eigenvalues, fdm_scheme
 from platenull.fem import (FemSpace, FemStepper, TriMesh, assemble, build_fem_space,
                            build_structured_mesh, make_stiffness_solver)
-from platenull.linalg import BlockSolver, SineSolver, SpdFactorization, SplitStepSolver
+from platenull.linalg import BlockSolver, Diagonal, SineSolver, SpdFactorization, SplitStepSolver
 
 
 def solve_spd(A, b):
@@ -50,13 +50,13 @@ def run_fdm_tables(n):
 def transforms(monkeypatch):
     """Number of sine-transform solves run while the test runs, in a one-item list."""
     count = [0]
-    transform_solve = SineSolver._transform_solve
+    transform = SineSolver.transform
 
-    def spy(self, b):
-        count[0] += 1
-        return transform_solve(self, b)
+    def spy(self, b, divisor=None):
+        count[0] += divisor is not None  # a solve divides; a plain transform does not
+        return transform(self, b, divisor)
 
-    monkeypatch.setattr(SineSolver, "_transform_solve", spy)
+    monkeypatch.setattr(SineSolver, "transform", spy)
     return count
 
 
@@ -405,7 +405,7 @@ class TestSineSolver:
         B = np.random.default_rng(5).standard_normal((64, 3))
         X = sine.solve(B)
         assert X.flags.c_contiguous
-        np.testing.assert_array_equal(X, sine._transform_solve(B))
+        np.testing.assert_array_equal(X, sine.transform(B, sine._eigenvalues))
 
 
 class TestRefinedSineSolver:
@@ -434,7 +434,7 @@ class TestRefinedSineSolver:
         solver = SineSolver(S, mu)
         got = solver.solve(b)
         solve_transforms = transforms[0]
-        plain = solver._transform_solve(b)
+        plain = solver.transform(b, solver._eigenvalues)
         assert got.shape == b.shape and got.flags.c_contiguous
         gap = np.linalg.norm(got - want) / np.linalg.norm(want)
         if refined_tol is None:  # unrefined
@@ -447,7 +447,8 @@ class TestRefinedSineSolver:
             assert np.linalg.norm(plain - want) / np.linalg.norm(want) >= plain_min
 
     def test_refines_only_the_fdm101_schur_solve(self, monkeypatch, transforms):
-        """Over the benchmark's grids, one solve of each sine solver counts its transforms."""
+        """Over the benchmark's grids, only fdm101-dt0.25 steps grid values, through
+        a Schur solver that refines; one solve of each sine solver counts its transforms."""
         built = []
         init = SineSolver.__init__
 
@@ -457,21 +458,27 @@ class TestRefinedSineSolver:
 
         monkeypatch.setattr(SineSolver, "__init__", spy)
         grids = {(t.scheme, t.n, float(t.dt)) for t in _benchmark_tables().values()}
-        refines = {}
+        refines, on_grid = {}, []
         for scheme, n, dt in sorted(grids):
             built.clear()
+            names = ["stiffness"]  # a FEM step's factors do not depend on it
             if scheme == "fdm":
-                fdm_scheme(FdGrid(n=n, a=np.pi), dt, 2.5)
-                names = ["schur", "stiffness"]  # the stepper's first, then mu_basis
-            else:  # the stiffness solver alone: the step factors do not depend on it
+                fdm = fdm_scheme(FdGrid(n=n, a=np.pi), dt, 2.5)
+                if fdm.basis is None:  # grid values: mu_basis first, then the stepper's
+                    on_grid.append((n, dt))
+                    names.append("schur")
+                else:  # sine coefficients: D and the Schur matrix are diagonal
+                    assert isinstance(fdm.stepper.dn, Diagonal)
+                    assert fdm.mu_basis.__self__ is fdm.stepper.dn
+            else:
                 make_stiffness_solver(build_fem_space(n, np.pi))
-                names = ["stiffness"]
             assert len(built) == len(names)
             for name, solver in zip(names, built):
                 transforms[0] = 0
                 solver.solve(np.random.default_rng(n).standard_normal(solver.n))
                 refines[scheme, n, dt, name] = transforms[0] == 2
-        assert len(refines) == 12  # eight grids: four FDM, two solvers each, and four FEM
+        assert on_grid == [(101, 0.25)]
+        assert len(refines) == 9  # eight grids, two sine solvers for the FDM grid path
         assert [key for key, yes in refines.items() if yes] == [("fdm", 101, 0.25, "schur")]
         # the stiffness matrices' kappa eps grows with n and stays below 1e-10 up to n = 150
         bounds = [kappa_eps(dn_eigenvalues(FdGrid(n=n, a=np.pi))) for n in range(1, 151)]
@@ -492,6 +499,27 @@ class TestRefinedSineSolver:
         kept = b.copy()
         SineSolver(S, mu).solve(b)
         np.testing.assert_array_equal(b, kept)
+
+
+class TestDiagonal:
+    def test_scales_and_divides_vectors_and_blocks(self):
+        d = np.array([1.0, -2.0, 4.0])
+        B = np.random.default_rng(9).standard_normal((3, 2))
+        for b, col in ((B, d[:, None]), (B[:, 0], d)):
+            np.testing.assert_array_equal(Diagonal(d) @ b, col * b)
+            np.testing.assert_array_equal(Diagonal(d).solve(b), b / col)
+
+    @pytest.mark.parametrize("b,match", [
+        ([1.0, np.nan], "backward error nan"),
+        ([0.0, 1e-300], "the solution underflows"),  # x[1] = 1e-600 is zero
+    ], ids=["nan", "underflow"])
+    def test_reports_a_failed_solve(self, b, match):
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            Diagonal(np.array([1.0, 1e300])).solve(np.array(b))
+
+    def test_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            Diagonal(np.ones(3)).solve(np.ones(4))
 
 
 class TestSplitStepSolver:

@@ -177,7 +177,8 @@ def test_controls_are_the_rank_two_product():
                  twin=exact_twin(grid), keep_controls=True)
     M = steps_for(max(horizons), DT)
     v, w = exact_twin(grid)(DT * np.arange(1, M + 1))
-    z = np.column_stack([scheme.mu_basis(v[:, level]) for level in range(M)])
+    basis = scheme.basis or (lambda x: x)  # node values to the scheme's coordinates and back
+    z = np.column_stack([basis(scheme.mu_basis(basis(v[:, level]))) for level in range(M)])
     for j in range(M):
         ahead = min(j + 1, M - 1)  # level M + 1 is never formed; f_T(T) = 0 there
         a = RHO * v[:, j] + w[:, j] + (z[:, ahead] - z[:, j]) / DT
